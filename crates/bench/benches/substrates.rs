@@ -461,50 +461,46 @@ fn bench_scale(c: &Harness) {
     println!("scale: wrote {path}");
 }
 
-/// End-to-end incremental serving benchmark over a 64-tick run: the
-/// wire-format delta-log checkpoint, the legacy whole-file JSON
-/// checkpoint, and no checkpointing at all. Records ingest throughput,
-/// per-batch latency (simulated clock), the serving envelope, and the
-/// per-tick checkpoint cost curve — flat for the delta log (O(batch) per
-/// tick), linear for JSON (O(pool) per tick). Acceptance: final-tick
-/// delta cost within 2x of the tick-4 cost, and wire-checkpointed wall
+/// End-to-end incremental serving benchmark over a 64-tick run, with the
+/// `cm-wire` base + delta-log checkpoint and without checkpointing.
+/// Records ingest throughput, per-batch latency (simulated clock), the
+/// serving envelope, and the per-tick checkpoint cost curve, which is
+/// flat: a delta append is O(batch) per tick. Acceptance: final-tick
+/// delta cost within 2x of the tick-4 cost, and checkpointed wall
 /// throughput >= 85% of the no-checkpoint path. Results go to
 /// `results/BENCH_serve.json`; `CM_SERVE_JSON` overrides the output path.
 fn bench_serve(c: &Harness) {
-    use cm_serve::{run as serve_run, CheckpointFormat, RunOutcome, ServeConfig};
+    use cm_serve::{run as serve_run, RunOutcome, ServeConfig};
     let group = c.group("serve");
     // 64 ticks of ~40-row batches; one arrival per tick, so ticks track
     // batches and the checkpoint curve gets 64 points.
     let total_rows = 64 * 40;
-    let config_for = |format: Option<CheckpointFormat>| {
+    let config_for = |checkpointed: bool| {
         let task = TaskConfig::paper(TaskId::Ct2).scaled(0.02);
         let mut config = ServeConfig::new(task, 11);
         config.total_rows = total_rows;
         config.batch_rows = 40;
         config.incremental.curation.prop_max_seeds = 400;
         config.incremental.curation.mining.min_recall = 0.05;
-        if let Some(format) = format {
+        if checkpointed {
             let path = std::env::temp_dir().join("cm_bench_serve_ckpt.bin");
             // A stale checkpoint would make the run resume (and measure
             // an empty service loop) instead of serving from scratch.
             let _ = std::fs::remove_file(&path);
             config.checkpoint_path = Some(path);
-            config.checkpoint_format = format;
         }
         config
     };
     let par = ParConfig::from_env();
     let mut rows: Vec<Json> = Vec::new();
     let mut wall_by_name: Vec<(&str, f64)> = Vec::new();
-    for (name, format) in [
-        ("serve_ct2_wire_checkpoint", Some(CheckpointFormat::Wire)),
-        ("serve_ct2_json_checkpoint", Some(CheckpointFormat::Json)),
-        ("serve_ct2_no_checkpoint", None),
-    ] {
+    for (name, checkpointed) in
+        [("serve_ct2_wire_checkpoint", true), ("serve_ct2_no_checkpoint", false)]
+    {
         if !group.enabled(name) {
             continue;
         }
-        let config = config_for(format);
+        let config = config_for(checkpointed);
         let start = Instant::now();
         let outcome = serve_run(&config, &par).unwrap();
         let elapsed = start.elapsed();
@@ -527,26 +523,16 @@ fn bench_serve(c: &Harness) {
             report.rows_per_sim_sec,
             timing.overhead_pct()
         );
-        // The per-tick persistence curve: steady-state = non-base writes
-        // when a delta log is in force, every write for whole-file JSON.
+        // The per-tick persistence curve: steady-state = delta appends,
+        // leaving out the base rewrites.
         let ticks = &timing.checkpoint_ticks;
-        let steady: Vec<f64> = {
-            let deltas: Vec<f64> = ticks
-                .iter()
-                .filter(|t| !t.wrote_base)
-                .map(|t| t.elapsed.as_secs_f64() * 1e3)
-                .collect();
-            if deltas.is_empty() {
-                ticks.iter().map(|t| t.elapsed.as_secs_f64() * 1e3).collect()
-            } else {
-                deltas
-            }
-        };
+        let steady: Vec<f64> =
+            ticks.iter().filter(|t| !t.wrote_base).map(|t| t.elapsed.as_secs_f64() * 1e3).collect();
         let (tick4_ms, final_ms) = match steady.as_slice() {
             [] => (0.0, 0.0),
             s => (s[3.min(s.len() - 1)], s[s.len() - 1]),
         };
-        if format.is_some() {
+        if checkpointed {
             println!(
                 "serve/{:<32} checkpoint {} writes, {} bytes total; steady-state \
                  ms/tick: tick4 {tick4_ms:.3} final {final_ms:.3}",
@@ -568,15 +554,7 @@ fn bench_serve(c: &Harness) {
             .collect();
         rows.push(Json::obj([
             ("name", Json::Str(name.to_owned())),
-            ("checkpointed", Json::Bool(format.is_some())),
-            (
-                "checkpoint_format",
-                match format {
-                    Some(CheckpointFormat::Wire) => Json::Str("wire".to_owned()),
-                    Some(CheckpointFormat::Json) => Json::Str("json".to_owned()),
-                    None => Json::Null,
-                },
-            ),
+            ("checkpointed", Json::Bool(checkpointed)),
             ("rows_ingested", Json::Num(report.rows_ingested as f64)),
             ("batches", Json::Num(report.batches.len() as f64)),
             ("ticks", Json::Num(report.ticks as f64)),

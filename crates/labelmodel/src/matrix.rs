@@ -124,8 +124,8 @@ impl LabelMatrix {
 
     /// Applies every LF to `table`, appending the votes in place — the
     /// zero-copy segment path of the sharded driver. Bit-identical to
-    /// [`LabelMatrix::apply_with`] on `table` followed by
-    /// [`LabelMatrix::append_rows`], without the intermediate segment
+    /// [`LabelMatrix::apply_with`] on `table` followed by a
+    /// [`LabelMatrix::push_row`] per row, without the intermediate segment
     /// matrix: same freeze, same parallel threshold, same chunking over
     /// the same rows, writing straight into this matrix's buffer.
     ///
@@ -307,52 +307,17 @@ impl LabelMatrix {
         }
     }
 
-    /// Concatenates row segments into one matrix. Votes are pure per-row
-    /// values, so applying LFs segment-by-segment and concatenating is
-    /// bit-identical to applying them to the whole table — the invariant
-    /// the sharded curation layer rests on.
-    ///
-    /// An empty `parts` yields the empty matrix.
-    ///
-    /// # Panics
-    /// Panics if the segments disagree on LF columns.
-    pub fn concat(parts: &[&LabelMatrix]) -> LabelMatrix {
-        let Some(first) = parts.first() else {
-            return LabelMatrix { n_rows: 0, n_lfs: 0, votes: Vec::new(), names: Vec::new() };
-        };
-        let mut votes = Vec::with_capacity(parts.iter().map(|p| p.votes.len()).sum());
-        let mut n_rows = 0;
-        for p in parts {
-            assert_eq!(p.n_lfs, first.n_lfs, "segment LF count mismatch");
-            assert_eq!(p.names, first.names, "segment LF name mismatch");
-            votes.extend_from_slice(&p.votes);
-            n_rows += p.n_rows;
-        }
-        LabelMatrix { n_rows, n_lfs: first.n_lfs, votes, names: first.names.clone() }
-    }
-
     /// An empty matrix over `names` with buffer space for `n_rows` rows
     /// reserved up front — the destination for streaming appends
-    /// ([`LabelMatrix::append_rows`], [`LabelMatrix::push_row`]), which
-    /// then fill one allocation in place instead of gathering per-segment
-    /// matrices and copying them all again at the end.
+    /// ([`LabelMatrix::apply_append_with`], [`LabelMatrix::push_row`]),
+    /// which then fill one allocation in place instead of gathering
+    /// per-segment matrices and copying them all again at the end. Votes
+    /// are pure per-row values, so appending segment by segment is
+    /// bit-identical to applying the LFs to the whole table — the
+    /// invariant the sharded curation layer rests on.
     pub fn with_row_capacity(n_rows: usize, names: Vec<String>) -> LabelMatrix {
         let n_lfs = names.len();
         LabelMatrix { n_rows: 0, n_lfs, votes: Vec::with_capacity(n_rows * n_lfs), names }
-    }
-
-    /// Appends `part`'s rows in place. Votes are pure per-row values, so
-    /// appending segment-by-segment is bit-identical to
-    /// [`LabelMatrix::concat`] over the same parts in the same order —
-    /// without holding every part resident at once.
-    ///
-    /// # Panics
-    /// Panics if `part` disagrees on LF columns.
-    pub fn append_rows(&mut self, part: &LabelMatrix) {
-        assert_eq!(part.n_lfs, self.n_lfs, "segment LF count mismatch");
-        assert_eq!(part.names, self.names, "segment LF name mismatch");
-        self.votes.extend_from_slice(&part.votes);
-        self.n_rows += part.n_rows;
     }
 
     /// Appends one row of votes.
@@ -629,35 +594,27 @@ mod tests {
     }
 
     #[test]
-    fn concat_of_segments_matches_whole_apply() {
+    fn segment_appends_match_whole_apply() {
         let t = table(100);
         let whole = LabelMatrix::apply(&t, &lfs());
-        let mut segs = Vec::new();
+        // Both append paths the sharded driver takes, over the same
+        // segments in the same order into one preallocated buffer: LF
+        // votes applied straight into it, or a segment matrix pushed row
+        // by row. Either way, the bits of one resident apply.
+        let mut applied = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
+        let mut by_row = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
         for (start, end) in [(0usize, 1usize), (1, 37), (37, 100)] {
-            let schema = t.schema();
-            let mut seg = FeatureTable::new(Arc::clone(schema));
+            let mut seg = FeatureTable::new(Arc::clone(t.schema()));
             for r in start..end {
                 seg.push_row(&t.row(r));
             }
-            segs.push(LabelMatrix::apply(&seg, &lfs()));
-        }
-        let parts: Vec<&LabelMatrix> = segs.iter().collect();
-        assert_eq!(LabelMatrix::concat(&parts), whole);
-
-        // The streaming append path the sharded driver actually takes:
-        // same parts, same order, one preallocated buffer — same bits,
-        // whether appended whole or pushed row by row.
-        let mut streamed = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-        for seg in &segs {
-            streamed.append_rows(seg);
-        }
-        assert_eq!(streamed, whole);
-        let mut by_row = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-        for seg in &segs {
-            for r in 0..seg.n_rows() {
-                by_row.push_row(seg.row(r));
+            applied.apply_append_with(&seg, &lfs(), &ParConfig::serial());
+            let seg_votes = LabelMatrix::apply(&seg, &lfs());
+            for r in 0..seg_votes.n_rows() {
+                by_row.push_row(seg_votes.row(r));
             }
         }
+        assert_eq!(applied, whole);
         assert_eq!(by_row, whole);
     }
 

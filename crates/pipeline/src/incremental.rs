@@ -109,9 +109,8 @@ pub struct IncrementalState {
     /// The accumulated pool: featurized arrival rows in ingest order.
     pub pool: ModalityDataset,
     /// Accumulated base-LF votes, row-major `pool.len() x n_base_lfs`.
-    /// Optional: when the length disagrees with the pool (legacy
-    /// checkpoints serialize no votes), [`IncrementalCurator::restore`]
-    /// recomputes them by re-applying the mined LFs.
+    /// Required: [`IncrementalCurator::restore`] uses them verbatim and
+    /// panics when the length disagrees with the pool.
     pub votes: Vec<i8>,
     /// EM parameters of the current model, if any batch has been fitted.
     pub em_warm: Option<WarmStart>,
@@ -445,7 +444,9 @@ impl IncrementalCurator {
     ///
     /// # Panics
     /// Panics if the state disagrees with the configuration (a graph
-    /// snapshot with propagation disabled, or vice versa).
+    /// snapshot with propagation disabled, or vice versa), or if
+    /// `state.votes` does not hold exactly one vote per pool row and
+    /// mined LF.
     pub fn restore(
         world: &World,
         text: &ModalityDataset,
@@ -459,21 +460,13 @@ impl IncrementalCurator {
             state.graph.is_some(),
             "checkpointed graph state disagrees with the propagation setting"
         );
-        // Checkpointed votes are used verbatim when they align with the
-        // pool; legacy checkpoints carry none and get them recomputed by
-        // re-applying the mined LFs (deterministic, so both paths agree).
-        let base_votes = if state.votes.len() == state.pool.len() * c.lfs.len() {
-            state.votes
-        } else {
-            let pool_matrix = LabelMatrix::apply_with(&state.pool.table, &c.lfs, par);
-            let mut votes = Vec::with_capacity(state.pool.len() * pool_matrix.n_lfs());
-            for r in 0..state.pool.len() {
-                votes.extend_from_slice(pool_matrix.row(r));
-            }
-            votes
-        };
+        assert_eq!(
+            state.votes.len(),
+            state.pool.len() * c.lfs.len(),
+            "checkpointed votes do not cover the pool: expected one per row and mined LF"
+        );
         c.pool = state.pool;
-        c.base_votes = base_votes;
+        c.base_votes = state.votes;
         c.n_batches = state.n_batches;
         c.mark_rows = c.pool.len();
         c.warm = state.em_warm;
@@ -726,20 +719,18 @@ mod tests {
     }
 
     #[test]
-    fn restore_prefers_checkpointed_votes_but_matches_recomputation() {
+    #[should_panic(expected = "checkpointed votes do not cover the pool")]
+    fn restore_panics_on_misaligned_votes() {
         let (world, text, pool) = fixture();
         let par = ParConfig::threads(1);
         let all = batches(&pool, 60);
         let mut cur = IncrementalCurator::new(&world, &text, fast_config());
         cur.ingest_batch(&all[0], &par);
-        cur.ingest_batch(&all[1], &par);
-        let with_votes = cur.export_state();
-        let mut legacy = with_votes.clone();
-        legacy.votes = Vec::new(); // what a pre-delta-log checkpoint carries
-        let a = IncrementalCurator::restore(&world, &text, fast_config(), with_votes, &par);
-        let b = IncrementalCurator::restore(&world, &text, fast_config(), legacy, &par);
-        assert_eq!(a.base_votes, b.base_votes);
-        assert_eq!(a.posteriors(), b.posteriors());
+        let mut state = cur.export_state();
+        // One row's votes short of the pool.
+        let n_lfs = state.votes.len() / state.pool.len();
+        state.votes.truncate(state.votes.len() - n_lfs);
+        let _ = IncrementalCurator::restore(&world, &text, fast_config(), state, &par);
     }
 
     #[test]

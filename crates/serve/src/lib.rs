@@ -12,10 +12,11 @@
 //!   posterior-entropy delta) that quarantine suspect batches into a
 //!   single-retry queue instead of letting a fault burst pollute the
 //!   label-model warm chain.
-//! - [`snapshot`] — versioned checkpoints of every piece of
-//!   arrival-dependent state; a restarted service resumes **bit-identical**
-//!   to an uninterrupted run (the `checkpoint-drift` lint confines
-//!   checkpoint construction to that module).
+//! - [`snapshot`] — versioned checkpoints (a `cm-wire` base + delta log)
+//!   of every piece of arrival-dependent state; a restarted service
+//!   resumes **bit-identical** to an uninterrupted run (the
+//!   `checkpoint-drift` lint confines checkpoint construction to that
+//!   module).
 //! - [`service`] — the tick loop that wires it all together over the
 //!   fault-injecting access layer and the simulated clock, with
 //!   crash-injection (`CM_CRASH_AT`) for recovery drills.
@@ -29,6 +30,5 @@ pub use guards::{GuardVerdict, QualityGuards, QuarantinedBatch};
 pub use queue::{Admission, AdmissionQueue, QueueConfig, QueuedBatch, SheddingReport};
 pub use service::{run, CheckpointTickCost, RunOutcome, ServeConfig, ServeReport, ServeTiming};
 pub use snapshot::{
-    CheckpointFormat, CheckpointStore, CompactionPolicy, PendingWork, ServeTelemetry,
-    CHECKPOINT_VERSION, LOG_VERSION,
+    CheckpointFormat, CheckpointStore, CompactionPolicy, PendingWork, ServeTelemetry, LOG_VERSION,
 };

@@ -12,8 +12,9 @@
 //!    priority, else the oldest queued batch: the batch is previewed,
 //!    checked against the quality guards, and either ingested into the
 //!    [`IncrementalCurator`] or quarantined;
-//! 4. a versioned checkpoint is written (when configured), so a crashed
-//!    run resumes **bit-identical** to an uninterrupted one.
+//! 4. a checkpoint record is committed to the `cm-wire` base + delta log
+//!    (when configured), so a crashed run resumes **bit-identical** to an
+//!    uninterrupted one.
 //!
 //! Determinism: every random draw is keyed on seeds and absolute row
 //! indices, segment sizes are jittered by a per-offset hash, and the only
@@ -71,9 +72,6 @@ pub struct ServeConfig {
     pub policy: AccessPolicy,
     /// Where to persist checkpoints; `None` disables checkpointing.
     pub checkpoint_path: Option<PathBuf>,
-    /// On-disk checkpoint representation (`CM_CKPT_FORMAT`): the wire
-    /// base+delta log (default) or the legacy whole-file JSON.
-    pub checkpoint_format: CheckpointFormat,
     /// When the delta log is folded back into a fresh base
     /// (`CM_CKPT_COMPACT_TICKS`, `CM_CKPT_COMPACT_FACTOR`).
     pub compaction: CompactionPolicy,
@@ -103,7 +101,6 @@ impl ServeConfig {
             plan: FaultPlan::disabled(),
             policy: AccessPolicy { breaker_cooldown_ms: 400, ..AccessPolicy::default() },
             checkpoint_path: None,
-            checkpoint_format: CheckpointFormat::Wire,
             compaction: CompactionPolicy::default(),
             crash_at: None,
         }
@@ -111,7 +108,7 @@ impl ServeConfig {
 
     /// Applies the serving environment knobs: `CM_BATCH_ROWS`,
     /// `CM_QUEUE_DEPTH`, `CM_MEM_BUDGET`, `CM_CRASH_AT`, `CM_FAULTS`,
-    /// `CM_CKPT_FORMAT`, `CM_CKPT_COMPACT_TICKS`, `CM_CKPT_COMPACT_FACTOR`.
+    /// `CM_CKPT_COMPACT_TICKS`, `CM_CKPT_COMPACT_FACTOR`.
     pub fn with_env_overrides(mut self) -> CmResult<Self> {
         const LOC: &str = "ServeConfig::with_env_overrides";
         let bad = |knob: &str, v: &str| {
@@ -127,9 +124,6 @@ impl ServeConfig {
         }
         if let Ok(v) = std::env::var("CM_CRASH_AT") {
             self.crash_at = Some(v.trim().parse().map_err(|_| bad("CM_CRASH_AT", &v))?);
-        }
-        if let Ok(v) = std::env::var("CM_CKPT_FORMAT") {
-            self.checkpoint_format = CheckpointFormat::parse(&v)?;
         }
         if let Ok(v) = std::env::var("CM_CKPT_COMPACT_TICKS") {
             let ticks: usize = v.trim().parse().map_err(|_| bad("CM_CKPT_COMPACT_TICKS", &v))?;
@@ -153,7 +147,8 @@ impl ServeConfig {
 }
 
 /// Per-tick checkpoint write cost, recorded so the serve bench can plot
-/// the flat (delta-log) vs linear (whole-file) persistence curve.
+/// the persistence curve: flat delta appends, with a base rewrite at
+/// each compaction.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointTickCost {
     /// Tick at which this write happened.
@@ -322,17 +317,13 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
     let mut stream = world.stream(ModalityKind::Image, config.total_rows, ds ^ 0x2);
 
     // Arrival-dependent state: resumed from a checkpoint when one exists.
-    // The store recovers either format (wire base + delta log, torn tails
-    // truncated by checksum; or a legacy JSON whole-file checkpoint).
+    // The store replays the base + delta log and truncates a torn tail by
+    // checksum.
     let mut store = None;
     let mut existing = None;
     if let Some(path) = &config.checkpoint_path {
-        let (s, cp) = CheckpointStore::open(
-            path,
-            config.checkpoint_format,
-            config.compaction,
-            world.schema(),
-        )?;
+        let (s, cp) =
+            CheckpointStore::open(path, CheckpointFormat::Wire, config.compaction, world.schema())?;
         store = Some(s);
         existing = cp;
     }

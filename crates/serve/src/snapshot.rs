@@ -1,7 +1,6 @@
 //! Versioned checkpoint persistence for the incremental curation
 //! service: a **base snapshot + append-only delta log** in the `cm-wire`
-//! binary format, with the original JSON text form kept as a legacy
-//! compatibility format.
+//! binary format, the only on-disk checkpoint format.
 //!
 //! A checkpoint persists exactly the *arrival-dependent* state of a run:
 //! the stream cursor, the access-layer breaker/clock state, the curator's
@@ -13,21 +12,23 @@
 //!
 //! ## Log layout and recovery contract
 //!
-//! A wire-format checkpoint file is
-//! `[header][base frame][delta frame]*`: a 4-byte magic + version
-//! varint, then one [`Checkpoint`] encoded whole (O(pool)), then one
-//! [`TickDelta`] per tick (O(batch) — only what changed since the last
-//! durable record). Every frame carries a trailing FNV-1a 64 checksum, so
-//! a crash mid-append leaves a *detectably* torn tail: [`load_any`]
-//! replays base + deltas until the first truncated or corrupt frame,
-//! discards the tail, and resumes from the last complete record —
-//! bit-identical to a run that never wrote it. Base rewrites (compaction,
-//! policy in [`CompactionPolicy`]) go through a sibling temp file + atomic
-//! rename, so the base itself can never tear.
+//! A checkpoint file is `[header][base frame][delta frame]*`: a 4-byte
+//! magic + version varint ([`LOG_VERSION`]), then one [`Checkpoint`]
+//! encoded whole (O(pool)), then one [`TickDelta`] per tick (O(batch) —
+//! only what changed since the last durable record). Every frame carries
+//! a trailing FNV-1a 64 checksum, so a crash mid-append leaves a
+//! *detectably* torn tail: [`load_any`] replays base + deltas until the
+//! first truncated or corrupt frame, discards the tail, and resumes from
+//! the last complete record — bit-identical to a run that never wrote
+//! it. Base rewrites (compaction, policy in [`CompactionPolicy`]) go
+//! through a sibling temp file + atomic rename, so the base itself can
+//! never tear.
 //!
-//! All floats travel as raw IEEE-754 bits (wire) or shortest-round-trip
-//! text (legacy JSON), so a restart resumes *bit-identical* to an
-//! uninterrupted run.
+//! All floats travel as raw IEEE-754 bits, so a restart resumes
+//! *bit-identical* to an uninterrupted run. Any file that does not open
+//! with the magic and the current version — including the JSON text
+//! checkpoints of earlier releases — is refused with an error and left
+//! untouched on disk.
 //!
 //! This module is the only place allowed to name [`Checkpoint`] or
 //! [`TickDelta`]: the `checkpoint-drift` lint bans both identifiers
@@ -45,7 +46,6 @@ use cm_featurespace::{
     CatSet, CmError, CmResult, ErrorKind, FeatureSchema, FeatureTable, FeatureValue, Label,
     ModalityKind,
 };
-use cm_json::{Json, ToJson};
 use cm_labelmodel::WarmStart;
 use cm_orgsim::ModalityDataset;
 use cm_pipeline::{BatchStats, IncrementalDelta, IncrementalState};
@@ -55,15 +55,12 @@ use cm_wire::{append_frame, fnv1a64, read_frame, read_header, write_header, Read
 use crate::guards::QuarantinedBatch;
 use crate::queue::{QueuedBatch, SheddingReport};
 
-/// Format version written into every legacy JSON checkpoint; the JSON
+/// Version of the checkpoint log (header varint after the magic); the
 /// loader rejects any other value. Bump whenever the serialized layout
 /// *or* the clean-path re-derivation contract changes.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Version of the wire-format delta log (header varint after the magic).
 pub const LOG_VERSION: u32 = 2;
 
-/// Magic bytes opening every wire-format checkpoint file.
+/// Magic bytes opening every checkpoint file.
 const LOG_MAGIC: &[u8; 4] = b"CMCK";
 
 /// Frame tag of the base snapshot record.
@@ -106,8 +103,6 @@ pub struct ServeTelemetry {
 /// The complete persisted state of a service run after some tick.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Format version; see [`CHECKPOINT_VERSION`].
-    pub version: u32,
     /// Ticks completed before this checkpoint was taken.
     pub ticks: usize,
     /// Rows drawn from the arrival stream so far (stream fast-forward
@@ -166,15 +161,7 @@ pub fn capture(
     pending: PendingWork,
     telemetry: ServeTelemetry,
 ) -> Checkpoint {
-    Checkpoint {
-        version: CHECKPOINT_VERSION,
-        ticks,
-        rows_generated,
-        access,
-        curator,
-        pending,
-        telemetry,
-    }
+    Checkpoint { ticks, rows_generated, access, curator, pending, telemetry }
 }
 
 /// Assembles one tick's delta record. `stats_durable` / `latencies_durable`
@@ -221,400 +208,6 @@ fn apply_tick_delta(cp: &mut Checkpoint, d: TickDelta) {
     cp.telemetry.last_entropy = d.last_entropy;
     cp.telemetry.batch_stats.extend(d.new_batch_stats);
     cp.telemetry.latencies_ms.extend(d.new_latencies_ms);
-}
-
-impl Checkpoint {
-    /// Serializes the checkpoint to its legacy JSON text form.
-    pub fn save(&self) -> String {
-        Json::obj([
-            ("version", Json::Num(f64::from(self.version))),
-            ("ticks", self.ticks.to_json()),
-            ("rows_generated", self.rows_generated.to_json()),
-            ("access", self.access.to_json()),
-            ("curator", incremental_state_to_json(&self.curator)),
-            ("queue", Json::Arr(self.pending.queue.iter().map(queued_to_json).collect())),
-            ("deferred", Json::Arr(self.pending.deferred.iter().map(queued_to_json).collect())),
-            (
-                "quarantine",
-                Json::Arr(self.pending.quarantine.iter().map(quarantined_to_json).collect()),
-            ),
-            ("shed", self.telemetry.shed.to_json()),
-            ("quarantined", self.telemetry.quarantined.to_json()),
-            ("recovered", self.telemetry.recovered.to_json()),
-            ("dropped", self.telemetry.dropped.to_json()),
-            ("last_entropy", opt_num(self.telemetry.last_entropy)),
-            (
-                "batch_stats",
-                Json::Arr(self.telemetry.batch_stats.iter().map(batch_stats_to_json).collect()),
-            ),
-            (
-                "latencies_ms",
-                Json::Arr(
-                    self.telemetry.latencies_ms.iter().map(|&l| Json::Num(l as f64)).collect(),
-                ),
-            ),
-        ])
-        .to_string_pretty()
-    }
-}
-
-/// Parses and version-checks a legacy JSON checkpoint. `schema` is the
-/// world feature schema (clean-path state, re-derived by the caller) that
-/// every serialized table is rebuilt against.
-pub fn load(text: &str, schema: &Arc<FeatureSchema>) -> CmResult<Checkpoint> {
-    const LOC: &str = "snapshot::load";
-    let json =
-        Json::parse(text).map_err(|e| CmError::new(ErrorKind::InvalidConfig, LOC, e.message))?;
-    let version = req_usize(&json, "version")? as u32;
-    if version != CHECKPOINT_VERSION {
-        return Err(CmError::new(
-            ErrorKind::InvalidConfig,
-            LOC,
-            format!("unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"),
-        ));
-    }
-    let access = AccessState::from_json(json.get("access").ok_or_else(|| missing("access"))?)?;
-    let curator = incremental_state_from_json(
-        json.get("curator").ok_or_else(|| missing("curator"))?,
-        schema,
-    )?;
-    let pending = PendingWork {
-        queue: req_arr(&json, "queue")?
-            .iter()
-            .map(|v| queued_from_json(v, schema))
-            .collect::<CmResult<_>>()?,
-        deferred: req_arr(&json, "deferred")?
-            .iter()
-            .map(|v| queued_from_json(v, schema))
-            .collect::<CmResult<_>>()?,
-        quarantine: req_arr(&json, "quarantine")?
-            .iter()
-            .map(|v| quarantined_from_json(v, schema))
-            .collect::<CmResult<_>>()?,
-    };
-    let telemetry = ServeTelemetry {
-        shed: SheddingReport::from_json(json.get("shed").ok_or_else(|| missing("shed"))?)
-            .map_err(|e| CmError::new(ErrorKind::InvalidConfig, LOC, e.message))?,
-        quarantined: req_usize(&json, "quarantined")?,
-        recovered: req_usize(&json, "recovered")?,
-        dropped: req_usize(&json, "dropped")?,
-        last_entropy: match json.get("last_entropy") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or_else(|| missing("last_entropy"))?),
-        },
-        batch_stats: req_arr(&json, "batch_stats")?
-            .iter()
-            .map(batch_stats_from_json)
-            .collect::<CmResult<_>>()?,
-        latencies_ms: req_arr(&json, "latencies_ms")?
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as u64).ok_or_else(|| missing("latencies_ms entry")))
-            .collect::<CmResult<_>>()?,
-    };
-    Ok(Checkpoint {
-        version,
-        ticks: req_usize(&json, "ticks")?,
-        rows_generated: req_usize(&json, "rows_generated")?,
-        access,
-        curator,
-        pending,
-        telemetry,
-    })
-}
-
-fn missing(field: &str) -> CmError {
-    CmError::new(ErrorKind::NotFound, "snapshot::load", format!("missing or mistyped {field}"))
-}
-
-fn req_usize(json: &Json, field: &str) -> CmResult<usize> {
-    json.get(field).and_then(Json::as_usize).ok_or_else(|| missing(field))
-}
-
-fn req_f64(json: &Json, field: &str) -> CmResult<f64> {
-    json.get(field).and_then(Json::as_f64).ok_or_else(|| missing(field))
-}
-
-fn req_arr<'a>(json: &'a Json, field: &str) -> CmResult<&'a [Json]> {
-    json.get(field).and_then(Json::as_arr).ok_or_else(|| missing(field))
-}
-
-fn opt_num(v: Option<f64>) -> Json {
-    v.map_or(Json::Null, Json::Num)
-}
-
-// --- feature values & datasets (JSON legacy) -----------------------------
-
-/// Tagged encoding mirroring the access layer's snapshot format. Finite
-/// floats (and `f32` embedding components widened to `f64`) round-trip
-/// bit-exactly.
-fn value_to_json(value: &FeatureValue) -> Json {
-    match value {
-        FeatureValue::Missing => Json::Null,
-        FeatureValue::Numeric(x) => Json::obj([("n", Json::Num(*x))]),
-        FeatureValue::Categorical(set) => {
-            Json::obj([("c", Json::Arr(set.iter().map(|id| Json::Num(f64::from(id))).collect()))])
-        }
-        FeatureValue::Embedding(e) => {
-            Json::obj([("e", Json::Arr(e.iter().map(|&x| Json::Num(f64::from(x))).collect()))])
-        }
-    }
-}
-
-fn value_from_json(json: &Json) -> CmResult<FeatureValue> {
-    if matches!(json, Json::Null) {
-        return Ok(FeatureValue::Missing);
-    }
-    if let Some(x) = json.get("n").and_then(Json::as_f64) {
-        return Ok(FeatureValue::Numeric(x));
-    }
-    if let Some(ids) = json.get("c").and_then(Json::as_arr) {
-        let mut set = CatSet::new();
-        for id in ids {
-            set.insert(id.as_f64().ok_or_else(|| missing("categorical id"))? as u32);
-        }
-        return Ok(FeatureValue::Categorical(set));
-    }
-    if let Some(values) = json.get("e").and_then(Json::as_arr) {
-        let e = values
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as f32).ok_or_else(|| missing("embedding component")))
-            .collect::<CmResult<Vec<f32>>>()?;
-        return Ok(FeatureValue::Embedding(e));
-    }
-    Err(missing("feature value tag"))
-}
-
-fn modality_to_json(m: ModalityKind) -> Json {
-    Json::Str(m.short().to_owned())
-}
-
-fn modality_from_json(json: &Json) -> CmResult<ModalityKind> {
-    match json.as_str() {
-        Some("T") => Ok(ModalityKind::Text),
-        Some("I") => Ok(ModalityKind::Image),
-        Some("V") => Ok(ModalityKind::Video),
-        _ => Err(missing("modality")),
-    }
-}
-
-fn dataset_to_json(ds: &ModalityDataset) -> Json {
-    let rows: Vec<Json> = (0..ds.table.len())
-        .map(|r| Json::Arr(ds.table.row(r).iter().map(value_to_json).collect()))
-        .collect();
-    Json::obj([
-        ("modality", modality_to_json(ds.modality)),
-        ("rows", Json::Arr(rows)),
-        ("labels", Json::Arr(ds.labels.iter().map(|l| Json::Num(l.as_f64())).collect())),
-        ("borderline", Json::Arr(ds.borderline.iter().map(|&b| Json::Bool(b)).collect())),
-    ])
-}
-
-fn dataset_from_json(json: &Json, schema: &Arc<FeatureSchema>) -> CmResult<ModalityDataset> {
-    let mut table = FeatureTable::new(schema.clone());
-    for row in req_arr(json, "rows")? {
-        let values = row
-            .as_arr()
-            .ok_or_else(|| missing("dataset row"))?
-            .iter()
-            .map(value_from_json)
-            .collect::<CmResult<Vec<_>>>()?;
-        table.push_row(&values);
-    }
-    let labels = req_arr(json, "labels")?
-        .iter()
-        .map(|v| match v.as_f64() {
-            Some(x) if x == 1.0 => Ok(Label::Positive),
-            Some(x) if x == 0.0 => Ok(Label::Negative),
-            _ => Err(missing("label")),
-        })
-        .collect::<CmResult<Vec<_>>>()?;
-    let borderline = req_arr(json, "borderline")?
-        .iter()
-        .map(|v| v.as_bool().ok_or_else(|| missing("borderline flag")))
-        .collect::<CmResult<Vec<_>>>()?;
-    Ok(ModalityDataset {
-        modality: modality_from_json(json.get("modality").ok_or_else(|| missing("modality"))?)?,
-        table,
-        labels,
-        borderline,
-    })
-}
-
-// --- queue & quarantine (JSON legacy) ------------------------------------
-
-fn queued_to_json(item: &QueuedBatch) -> Json {
-    Json::obj([
-        ("batch", dataset_to_json(&item.batch)),
-        ("arrival_ms", Json::Num(item.arrival_ms as f64)),
-        ("deferrals", Json::Num(f64::from(item.deferrals))),
-    ])
-}
-
-fn queued_from_json(json: &Json, schema: &Arc<FeatureSchema>) -> CmResult<QueuedBatch> {
-    Ok(QueuedBatch {
-        batch: dataset_from_json(json.get("batch").ok_or_else(|| missing("batch"))?, schema)?,
-        arrival_ms: req_f64(json, "arrival_ms")? as u64,
-        deferrals: req_usize(json, "deferrals")? as u32,
-    })
-}
-
-fn quarantined_to_json(q: &QuarantinedBatch) -> Json {
-    Json::obj([
-        ("item", queued_to_json(&q.item)),
-        ("retry_tick", q.retry_tick.to_json()),
-        ("attempts", Json::Num(f64::from(q.attempts))),
-        ("reasons", Json::Arr(q.reasons.iter().map(|r| Json::Str(r.clone())).collect())),
-    ])
-}
-
-fn quarantined_from_json(json: &Json, schema: &Arc<FeatureSchema>) -> CmResult<QuarantinedBatch> {
-    Ok(QuarantinedBatch {
-        item: queued_from_json(json.get("item").ok_or_else(|| missing("item"))?, schema)?,
-        retry_tick: req_usize(json, "retry_tick")?,
-        attempts: req_usize(json, "attempts")? as u32,
-        reasons: req_arr(json, "reasons")?
-            .iter()
-            .map(|v| v.as_str().map(str::to_owned).ok_or_else(|| missing("reason")))
-            .collect::<CmResult<_>>()?,
-    })
-}
-
-// --- curator state (JSON legacy) -----------------------------------------
-
-fn warm_to_json(w: &WarmStart) -> Json {
-    Json::obj([
-        ("accuracies", Json::Arr(w.accuracies.iter().map(|&a| Json::Num(a)).collect())),
-        ("class_prior", Json::Num(w.class_prior)),
-    ])
-}
-
-fn warm_from_json(json: &Json) -> CmResult<WarmStart> {
-    Ok(WarmStart {
-        accuracies: req_arr(json, "accuracies")?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| missing("accuracy")))
-            .collect::<CmResult<_>>()?,
-        class_prior: req_f64(json, "class_prior")?,
-    })
-}
-
-fn graph_to_json(g: &OnlineGraphState) -> Json {
-    Json::obj([
-        ("n_rows", g.n_rows.to_json()),
-        ("anchors", Json::Arr(g.anchors.iter().map(|&a| Json::Num(f64::from(a))).collect())),
-        (
-            "anchor_members",
-            Json::Arr(
-                g.anchor_members
-                    .iter()
-                    .map(|m| Json::Arr(m.iter().map(|&r| Json::Num(f64::from(r))).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "edges",
-            Json::Arr(
-                g.edges
-                    .iter()
-                    .map(|&(a, b, w)| {
-                        Json::Arr(vec![
-                            Json::Num(f64::from(a)),
-                            Json::Num(f64::from(b)),
-                            Json::Num(f64::from(w)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn graph_from_json(json: &Json) -> CmResult<OnlineGraphState> {
-    let u32s = |field: &str| -> CmResult<Vec<u32>> {
-        req_arr(json, field)?
-            .iter()
-            .map(|v| v.as_f64().map(|x| x as u32).ok_or_else(|| missing(field)))
-            .collect()
-    };
-    let edges = req_arr(json, "edges")?
-        .iter()
-        .map(|v| {
-            let parts = v.as_arr().filter(|p| p.len() == 3).ok_or_else(|| missing("edge"))?;
-            let f = |i: usize| parts[i].as_f64().ok_or_else(|| missing("edge component"));
-            Ok((f(0)? as u32, f(1)? as u32, f(2)? as f32))
-        })
-        .collect::<CmResult<Vec<_>>>()?;
-    let anchor_members = req_arr(json, "anchor_members")?
-        .iter()
-        .map(|m| {
-            m.as_arr()
-                .ok_or_else(|| missing("anchor member list"))?
-                .iter()
-                .map(|v| v.as_f64().map(|x| x as u32).ok_or_else(|| missing("anchor member")))
-                .collect::<CmResult<Vec<u32>>>()
-        })
-        .collect::<CmResult<Vec<_>>>()?;
-    Ok(OnlineGraphState {
-        n_rows: req_usize(json, "n_rows")?,
-        anchors: u32s("anchors")?,
-        anchor_members,
-        edges,
-    })
-}
-
-fn batch_stats_to_json(s: &BatchStats) -> Json {
-    Json::obj([
-        ("batch_index", s.batch_index.to_json()),
-        ("rows", s.rows.to_json()),
-        ("total_rows", s.total_rows.to_json()),
-        ("coverage", Json::Num(s.coverage)),
-        ("abstain_rate", Json::Num(s.abstain_rate)),
-        ("mean_entropy", Json::Num(s.mean_entropy)),
-        ("em_iterations", s.em_iterations.to_json()),
-    ])
-}
-
-fn batch_stats_from_json(json: &Json) -> CmResult<BatchStats> {
-    Ok(BatchStats {
-        batch_index: req_usize(json, "batch_index")?,
-        rows: req_usize(json, "rows")?,
-        total_rows: req_usize(json, "total_rows")?,
-        coverage: req_f64(json, "coverage")?,
-        abstain_rate: req_f64(json, "abstain_rate")?,
-        mean_entropy: req_f64(json, "mean_entropy")?,
-        em_iterations: req_usize(json, "em_iterations")?,
-    })
-}
-
-fn incremental_state_to_json(s: &IncrementalState) -> Json {
-    // Legacy format carries no votes; restore recomputes them.
-    Json::obj([
-        ("n_batches", s.n_batches.to_json()),
-        ("pool", dataset_to_json(&s.pool)),
-        ("em_warm", s.em_warm.as_ref().map_or(Json::Null, warm_to_json)),
-        ("em_iterations", s.em_iterations.to_json()),
-        ("graph", s.graph.as_ref().map_or(Json::Null, graph_to_json)),
-    ])
-}
-
-fn incremental_state_from_json(
-    json: &Json,
-    schema: &Arc<FeatureSchema>,
-) -> CmResult<IncrementalState> {
-    Ok(IncrementalState {
-        n_batches: req_usize(json, "n_batches")?,
-        pool: dataset_from_json(json.get("pool").ok_or_else(|| missing("pool"))?, schema)?,
-        votes: Vec::new(),
-        em_warm: match json.get("em_warm") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(warm_from_json(v)?),
-        },
-        em_iterations: req_usize(json, "em_iterations")?,
-        graph: match json.get("graph") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(graph_from_json(v)?),
-        },
-    })
 }
 
 // --- wire encoding -------------------------------------------------------
@@ -1217,7 +810,6 @@ fn encode_base_file(cp: &Checkpoint) -> Vec<u8> {
 fn dec_base_payload(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Checkpoint> {
     let mut r = Reader::new(payload);
     let cp = Checkpoint {
-        version: CHECKPOINT_VERSION,
         ticks: r.usizev().map_err(wire_err)?,
         rows_generated: r.usizev().map_err(wire_err)?,
         access: dec_access(&mut r)?,
@@ -1300,49 +892,34 @@ fn dec_delta_payload(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Ti
 
 // --- log recovery --------------------------------------------------------
 
-/// Result of recovering a checkpoint file in either format: the merged
-/// state (base + every complete delta) plus enough layout information for
-/// the [`CheckpointStore`] to continue appending where the log left off.
+/// Result of recovering a checkpoint file: the merged state (base + every
+/// complete delta) plus enough layout information for the
+/// [`CheckpointStore`] to continue appending where the log left off.
 #[derive(Debug)]
 pub struct RecoveredLog {
     /// The merged, replayed checkpoint state.
     pub checkpoint: Checkpoint,
-    /// Bytes of the header + base frame (0 for legacy JSON files).
+    /// Bytes of the header + base frame.
     pub base_bytes: usize,
     /// Bytes through the last complete record; anything past this is a
     /// torn tail the caller must truncate before appending.
     pub valid_bytes: usize,
     /// Delta records applied on top of the base.
     pub deltas: usize,
-    /// Whether the file was a legacy JSON checkpoint.
-    pub legacy_json: bool,
 }
 
-/// Recovers a checkpoint from raw file bytes in either format.
+/// Recovers a checkpoint from raw file bytes.
 ///
-/// Legacy JSON files (first non-whitespace byte `{`) parse whole or fail.
-/// Wire-format files replay base + deltas until the first truncated or
-/// corrupt frame; the torn tail is *discarded* (reported via
-/// `valid_bytes`), recovering to the last durable tick. A torn or corrupt
-/// **base** frame is unrecoverable and errors — base rewrites are atomic,
-/// so only deliberate corruption produces one.
+/// Replays base + deltas until the first truncated or corrupt frame; the
+/// torn tail is *discarded* (reported via `valid_bytes`), recovering to
+/// the last durable tick. A torn or corrupt **base** frame is
+/// unrecoverable and errors — base rewrites are atomic, so only
+/// deliberate corruption produces one.
 ///
 /// # Errors
-/// Fails on an unparseable JSON checkpoint, a bad magic/version header,
-/// or a corrupt base frame.
+/// Fails on a bad magic/version header (a JSON text checkpoint from an
+/// earlier release among them) or a torn or corrupt base frame.
 pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<RecoveredLog> {
-    let first = bytes.iter().copied().find(|b| !b.is_ascii_whitespace());
-    if first == Some(b'{') {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| bad_wire("checkpoint is neither valid UTF-8 JSON nor wire format"))?;
-        return Ok(RecoveredLog {
-            checkpoint: load(text, schema)?,
-            base_bytes: 0,
-            valid_bytes: bytes.len(),
-            deltas: 0,
-            legacy_json: true,
-        });
-    }
     let mut r = Reader::new(bytes);
     let version = read_header(&mut r, LOG_MAGIC).map_err(wire_err)?;
     if version != LOG_VERSION {
@@ -1373,37 +950,19 @@ pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Recovered
         valid_bytes = r.pos();
         deltas += 1;
     }
-    Ok(RecoveredLog { checkpoint, base_bytes, valid_bytes, deltas, legacy_json: false })
+    Ok(RecoveredLog { checkpoint, base_bytes, valid_bytes, deltas })
 }
 
 // --- the store -----------------------------------------------------------
 
-/// On-disk checkpoint representation (`CM_CKPT_FORMAT`).
+/// On-disk checkpoint representation. The `cm-wire` log is the only one;
+/// the enum survives so that callers of [`CheckpointStore::open`] that
+/// name the format (the `perfbench` harness among them) keep compiling.
+/// The store ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointFormat {
-    /// `cm-wire` binary base + append-only delta log (the default).
+    /// `cm-wire` binary base + append-only delta log.
     Wire,
-    /// Legacy JSON text, rewritten whole every tick (O(pool) per tick;
-    /// kept for comparison benchmarks and old checkpoints).
-    Json,
-}
-
-impl CheckpointFormat {
-    /// Parses the `CM_CKPT_FORMAT` value (`wire` | `json`).
-    ///
-    /// # Errors
-    /// Fails on any other string.
-    pub fn parse(s: &str) -> CmResult<Self> {
-        match s.trim() {
-            "wire" => Ok(CheckpointFormat::Wire),
-            "json" => Ok(CheckpointFormat::Json),
-            other => Err(CmError::new(
-                ErrorKind::InvalidConfig,
-                "CheckpointFormat::parse",
-                format!("CM_CKPT_FORMAT {other:?} is neither \"wire\" nor \"json\""),
-            )),
-        }
-    }
 }
 
 /// When the delta log is folded back into a fresh base snapshot. Both
@@ -1431,11 +990,9 @@ impl Default for CompactionPolicy {
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: PathBuf,
-    format: CheckpointFormat,
     policy: CompactionPolicy,
-    /// Header + base frame bytes in the current file (0 = no wire base
-    /// yet: fresh file or legacy JSON, either way the next commit writes
-    /// a base).
+    /// Header + base frame bytes in the current file (0 = fresh file, so
+    /// the next commit writes a base).
     base_bytes: usize,
     /// Valid file length (through the last complete record).
     file_bytes: usize,
@@ -1446,19 +1003,19 @@ impl CheckpointStore {
     /// Opens a checkpoint store over `path`. If the file exists its state
     /// is recovered ([`load_any`]) and any torn tail is truncated away so
     /// later appends start at a record boundary; a missing file yields a
-    /// fresh store and `None`.
+    /// fresh store and `None`. A file that fails to recover is left
+    /// exactly as it was.
     ///
     /// # Errors
     /// Propagates recovery errors and filesystem errors.
     pub fn open(
         path: &Path,
-        format: CheckpointFormat,
+        _format: CheckpointFormat,
         policy: CompactionPolicy,
         schema: &Arc<FeatureSchema>,
     ) -> CmResult<(Self, Option<Checkpoint>)> {
         let mut store = CheckpointStore {
             path: path.to_path_buf(),
-            format,
             policy,
             base_bytes: 0,
             file_bytes: 0,
@@ -1480,11 +1037,9 @@ impl CheckpointStore {
                 .map_err(|e| store.io_err("open for truncate", &e))?;
             f.set_len(recovered.valid_bytes as u64).map_err(|e| store.io_err("truncate", &e))?;
         }
-        if !recovered.legacy_json {
-            store.base_bytes = recovered.base_bytes;
-            store.file_bytes = recovered.valid_bytes;
-            store.deltas_since_base = recovered.deltas;
-        }
+        store.base_bytes = recovered.base_bytes;
+        store.file_bytes = recovered.valid_bytes;
+        store.deltas_since_base = recovered.deltas;
         Ok((store, Some(recovered.checkpoint)))
     }
 
@@ -1496,14 +1051,12 @@ impl CheckpointStore {
         )
     }
 
-    /// Whether the next commit must be a full base rewrite: always for the
-    /// JSON format, on a fresh/legacy file, and when the compaction policy
-    /// says the log has grown past its recovery-cost budget.
+    /// Whether the next commit must be a full base rewrite: on a fresh
+    /// file, and when the compaction policy says the log has grown past
+    /// its recovery-cost budget.
     pub fn needs_base(&self) -> bool {
-        if self.format == CheckpointFormat::Json || self.base_bytes == 0 {
-            return true;
-        }
-        self.deltas_since_base >= self.policy.every_ticks
+        self.base_bytes == 0
+            || self.deltas_since_base >= self.policy.every_ticks
             || self.file_bytes as f64 >= self.base_bytes as f64 * self.policy.max_log_factor
     }
 
@@ -1515,16 +1068,13 @@ impl CheckpointStore {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn commit_base(&mut self, cp: &Checkpoint) -> CmResult<usize> {
-        let bytes = match self.format {
-            CheckpointFormat::Wire => encode_base_file(cp),
-            CheckpointFormat::Json => cp.save().into_bytes(),
-        };
+        let bytes = encode_base_file(cp);
         let mut tmp_name = self.path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
         tmp_name.push(".tmp");
         let tmp = self.path.with_file_name(tmp_name);
         std::fs::write(&tmp, &bytes).map_err(|e| self.io_err("write temp", &e))?;
         std::fs::rename(&tmp, &self.path).map_err(|e| self.io_err("rename", &e))?;
-        self.base_bytes = if self.format == CheckpointFormat::Wire { bytes.len() } else { 0 };
+        self.base_bytes = bytes.len();
         self.file_bytes = bytes.len();
         self.deltas_since_base = 0;
         Ok(bytes.len())
@@ -1536,14 +1086,13 @@ impl CheckpointStore {
     /// Returns the bytes written.
     ///
     /// # Errors
-    /// Fails if no base has been committed (or the store is in JSON
-    /// format) and on filesystem errors.
+    /// Fails if no base has been committed, and on filesystem errors.
     pub fn commit_delta(&mut self, delta: &TickDelta) -> CmResult<usize> {
-        if self.format != CheckpointFormat::Wire || self.base_bytes == 0 {
+        if self.base_bytes == 0 {
             return Err(CmError::new(
                 ErrorKind::InvalidConfig,
                 "CheckpointStore",
-                "delta append without a wire-format base (call commit_base first)",
+                "delta append without a base (call commit_base first)",
             ));
         }
         let frame = encode_delta_frame(delta);
@@ -1574,6 +1123,10 @@ mod tests {
     use cm_pipeline::BatchStats;
 
     use super::*;
+
+    /// The JSON text checkpoint that [`fixture`] serialized to before the
+    /// wire log became the only format.
+    const JSON_CHECKPOINT: &str = include_str!("../testdata/json_checkpoint_v1.json");
 
     fn schema() -> Arc<FeatureSchema> {
         Arc::new(FeatureSchema::from_defs(vec![
@@ -1727,40 +1280,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trips_bit_exactly() {
-        let cp = fixture();
-        let text = cp.save();
-        let back = load(&text, &schema()).expect("load");
-        // Bit-exact: re-serializing the loaded checkpoint reproduces the
-        // original text byte for byte (floats included).
-        assert_eq!(back.save(), text);
-        // Spot-check irrational floats survived exactly.
-        let warm = back.curator.em_warm.expect("warm");
-        assert_eq!(warm.accuracies[0].to_bits(), (1.0f64 / 3.0).to_bits());
-        assert_eq!(back.pending.quarantine[0].retry_tick, 9);
-        assert_eq!(back.telemetry.latencies_ms, vec![15, 30]);
-        assert_eq!(back.access.services[0].opened_at_ms, 640);
-    }
-
-    #[test]
-    fn load_rejects_other_versions() {
-        let text = fixture().save().replacen("\"version\": 1", "\"version\": 2", 1);
-        let err = load(&text, &schema()).expect_err("version 2 must be rejected");
-        assert!(err.to_string().contains("unsupported checkpoint version"));
-    }
-
-    #[test]
-    fn load_rejects_truncated_checkpoints() {
-        let text = fixture().save();
-        assert!(load(&text[..text.len() / 2], &schema()).is_err());
-    }
-
-    #[test]
     fn wire_base_round_trips_bit_exactly() {
         let cp = fixture();
         let bytes = encode_base_file(&cp);
         let rec = load_any(&bytes, &schema()).expect("recover");
-        assert!(!rec.legacy_json);
         assert_eq!(rec.deltas, 0);
         assert_eq!(rec.valid_bytes, bytes.len());
         assert_eq!(rec.base_bytes, bytes.len());
@@ -1771,6 +1294,9 @@ mod tests {
             rec.checkpoint.curator.em_warm.as_ref().map(|w| w.accuracies[0].to_bits()),
             Some((1.0f64 / 3.0).to_bits())
         );
+        assert_eq!(rec.checkpoint.pending.quarantine[0].retry_tick, 9);
+        assert_eq!(rec.checkpoint.telemetry.latencies_ms, vec![15, 30]);
+        assert_eq!(rec.checkpoint.access.services[0].opened_at_ms, 640);
     }
 
     #[test]
@@ -1838,17 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn load_any_sniffs_legacy_json() {
-        let cp = fixture();
-        let rec = load_any(cp.save().as_bytes(), &schema()).expect("legacy");
-        assert!(rec.legacy_json);
-        assert_eq!(rec.base_bytes, 0);
-        assert_eq!(rec.checkpoint.save(), cp.save());
-        // Legacy checkpoints carry no votes; restore recomputes them.
-        assert!(rec.checkpoint.curator.votes.is_empty());
-    }
-
-    #[test]
     fn load_any_rejects_bad_magic_and_version() {
         let cp = fixture();
         let mut bytes = encode_base_file(&cp);
@@ -1857,6 +1372,16 @@ mod tests {
         let mut w = Writer::new();
         write_header(&mut w, LOG_MAGIC, LOG_VERSION + 1);
         assert!(load_any(w.as_bytes(), &schema()).is_err());
+        assert!(load_any(JSON_CHECKPOINT.as_bytes(), &schema()).is_err());
+        // A torn or corrupt base is unrecoverable: there is no earlier
+        // record to fall back to.
+        let base = encode_base_file(&cp);
+        assert!(load_any(&base[..base.len() / 2], &schema()).is_err());
+        let mut flipped = base.clone();
+        // The midpoint lies inside the base payload: the header, frame
+        // tag and length prefix come before it, the checksum after it.
+        flipped[base.len() / 2] ^= 0x40;
+        assert!(load_any(&flipped, &schema()).is_err());
     }
 
     #[test]
@@ -1929,26 +1454,20 @@ mod tests {
     }
 
     #[test]
-    fn store_json_format_always_rewrites_whole() {
+    fn store_open_refuses_json_checkpoints_and_leaves_them_intact() {
         let dir = std::env::temp_dir().join("cm_snapshot_store_test");
         let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("legacy.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let (mut store, _) = CheckpointStore::open(
+        let path = dir.join("json.ckpt");
+        std::fs::write(&path, JSON_CHECKPOINT).expect("write");
+        let err = CheckpointStore::open(
             &path,
-            CheckpointFormat::Json,
+            CheckpointFormat::Wire,
             CompactionPolicy::default(),
             &schema(),
         )
-        .expect("open");
-        assert!(store.needs_base());
-        let cp = fixture();
-        store.commit_base(&cp).expect("base");
-        assert!(store.needs_base(), "JSON format has no delta log");
-        assert!(store.commit_delta(&delta_fixture(&cp)).is_err());
-        // The file is plain JSON, loadable by the legacy path.
-        let text = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(load(&text, &schema()).expect("legacy load").save(), cp.save());
+        .expect_err("a JSON checkpoint must be refused");
+        assert_eq!(err.kind, ErrorKind::InvalidConfig);
+        assert_eq!(std::fs::read(&path).expect("read back"), JSON_CHECKPOINT.as_bytes());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -16,8 +16,8 @@
 //! stderr, out-of-band of the fixture.
 //!
 //! ```sh
-//! CM_CHECKPOINT=/tmp/ckpt.json CM_CRASH_AT=2 cargo run --release --example serve_drill
-//! CM_CHECKPOINT=/tmp/ckpt.json cargo run --release --example serve_drill
+//! CM_CHECKPOINT=/tmp/serve.ckpt CM_CRASH_AT=2 cargo run --release --example serve_drill
+//! CM_CHECKPOINT=/tmp/serve.ckpt cargo run --release --example serve_drill
 //! ```
 
 use std::path::PathBuf;
@@ -97,7 +97,7 @@ fn main() {
     config.checkpoint_path = Some(
         std::env::var("CM_CHECKPOINT")
             .map(PathBuf::from)
-            .unwrap_or_else(|_| std::env::temp_dir().join("cm_serve_drill_ckpt.json")),
+            .unwrap_or_else(|_| std::env::temp_dir().join("cm_serve_drill.ckpt")),
     );
 
     println!(

@@ -57,7 +57,7 @@ echo "==> serve smoke: crash/restart must be bit-identical to a clean run"
 # tick, and prints a deterministic report. Three runs against the pinned
 # fixture: clean, crashed after the 2nd batch ingest (stdout discarded),
 # and resumed off the crash's checkpoint at a different thread count.
-SERVE_CKPT=/tmp/cm_serve_drill_ckpt.json
+SERVE_CKPT=/tmp/cm_serve_drill.ckpt
 rm -f "$SERVE_CKPT"
 CM_CHECKPOINT="$SERVE_CKPT" CM_THREADS=1 cargo run -q --release --example serve_drill \
     > /tmp/cm_serve_drill_clean.out
@@ -96,6 +96,12 @@ CM_CHECKPOINT="$SERVE_CKPT" CM_THREADS=4 cargo run -q --release --example serve_
 diff /tmp/cm_serve_drill_torn_t4.out tests/fixtures/serve_drill.out
 rm -f "$SERVE_CKPT"
 echo "    delta-log resume identical after torn-tail kills at CM_THREADS=1 and 4"
+
+echo "==> benchmark smoke: perfbench builds against the workspace and runs"
+# The benchmark harness (perfbench/) is its own cargo project over the
+# workspace's public APIs; its smoke test runs every workload once at a
+# tiny size, so an API change that breaks it fails here, not at bench time.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> bench smoke: serve group"
 # One end-to-end service run (compile + run guard; the committed

@@ -251,45 +251,6 @@ fn kill_mid_append_resumes_from_the_last_complete_record() {
 }
 
 #[test]
-fn legacy_json_checkpoints_resume_and_upgrade_to_the_wire_log() {
-    // Old runs persisted whole-file JSON. The store must resume off one
-    // and migrate the file to the wire log on its next write.
-    let par = ParConfig::from_env();
-    let path = scratch_checkpoint("legacy");
-    let _ = std::fs::remove_file(&path);
-    let mut json_config = serve_config(5);
-    json_config.checkpoint_path = Some(path.clone());
-    json_config.checkpoint_format = serve::CheckpointFormat::Json;
-
-    let reference = run_completed(&json_config, &par);
-    let reference_json = reference.to_json().to_string_pretty();
-    let mid = (reference.batches.len() / 2).max(1);
-
-    let _ = std::fs::remove_file(&path);
-    let mut crashing = json_config.clone();
-    crashing.crash_at = Some(mid);
-    assert!(matches!(
-        serve::run(&crashing, &par).expect("crashing run errored"),
-        RunOutcome::Crashed { .. }
-    ));
-    let first = std::fs::read(&path).expect("json checkpoint exists")[0];
-    assert_eq!(first, b'{', "JSON-format run must leave a JSON file");
-
-    // Resume in the (default) wire format off the legacy JSON file.
-    let mut wire_config = json_config.clone();
-    wire_config.checkpoint_format = serve::CheckpointFormat::Wire;
-    let resumed = run_completed(&wire_config, &par);
-    assert_eq!(
-        resumed.to_json().to_string_pretty(),
-        reference_json,
-        "wire-format resume off a legacy JSON checkpoint diverged"
-    );
-    let bytes = std::fs::read(&path).expect("checkpoint exists");
-    assert_eq!(&bytes[..4], b"CMCK", "resumed run must have migrated the file to the wire log");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn crash_under_fault_storm_still_resumes_bit_identically() {
     // The hard case: breaker state, fault draws, and stale snapshots are
     // all mid-flight when the crash lands.
