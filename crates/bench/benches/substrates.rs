@@ -373,12 +373,13 @@ fn bench_faults(c: &Harness) {
     group.finish();
 }
 
-/// Scale sweep for the sharded out-of-core curation driver: 10^4 -> 10^6
-/// pool rows streamed through `curate_streamed` under the default
-/// `CM_MEM_BUDGET`, recording rows/sec and peak resident bytes into
-/// `results/BENCH_scale.json`. Each size is one end-to-end timed run (these
-/// are full curations, not microbenchmarks). `CM_SCALE_MAX_ROWS` caps the
-/// sweep for smoke runs; `CM_SCALE_JSON` overrides the output path.
+/// Scale sweep for the curation driver's streamed arm: 10^4 -> 10^6 pool
+/// rows streamed through `curate_streamed` under the default
+/// `CM_MEM_BUDGET`, recording rows/sec, peak resident bytes and segment
+/// counts into `results/BENCH_scale.json`. Each size is one end-to-end
+/// timed run (these are full curations, not microbenchmarks); the per-layer
+/// split is the perfbench traced run's. `CM_SCALE_MAX_ROWS` caps the sweep
+/// for smoke runs; `CM_SCALE_JSON` overrides the output path.
 fn bench_scale(c: &Harness) {
     let group = c.group("scale");
     let max_rows = std::env::var("CM_SCALE_MAX_ROWS")
@@ -403,20 +404,9 @@ fn bench_scale(c: &Harness) {
         let streamed = curate_streamed(task, 3, &config, &shard).unwrap();
         let elapsed = start.elapsed();
         let rows_per_sec = n as f64 / elapsed.as_secs_f64();
-        let stages = streamed.timing;
         println!(
             "scale/{:<32} {:>12?}  {:>10.0} rows/s  peak {:>11} bytes  ({} segments)",
             name, elapsed, rows_per_sec, streamed.stats.peak_bytes, streamed.stats.segments
-        );
-        println!(
-            "scale/{:<32} stages ms: mining {:.0} propagation {:.0} lf_apply {:.0} \
-             concat {:.0} model {:.0}",
-            name,
-            stages.mining.as_secs_f64() * 1e3,
-            stages.propagation.as_secs_f64() * 1e3,
-            stages.lf_application.as_secs_f64() * 1e3,
-            stages.concat.as_secs_f64() * 1e3,
-            stages.model.as_secs_f64() * 1e3
         );
         assert_eq!(streamed.output.probabilistic_labels.len(), n);
         rows.push(Json::obj([
@@ -426,11 +416,6 @@ fn bench_scale(c: &Harness) {
             ("elapsed_ms", Json::Num(elapsed.as_secs_f64() * 1e3)),
             ("rows_per_sec", Json::Num(rows_per_sec)),
             ("peak_resident_bytes", Json::Num(streamed.stats.peak_bytes as f64)),
-            ("mining_ms", Json::Num(stages.mining.as_secs_f64() * 1e3)),
-            ("propagation_ms", Json::Num(stages.propagation.as_secs_f64() * 1e3)),
-            ("lf_application_ms", Json::Num(stages.lf_application.as_secs_f64() * 1e3)),
-            ("concat_ms", Json::Num(stages.concat.as_secs_f64() * 1e3)),
-            ("model_ms", Json::Num(stages.model.as_secs_f64() * 1e3)),
         ]));
     }
     if rows.is_empty() {

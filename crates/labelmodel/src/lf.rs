@@ -5,6 +5,8 @@
 //! modalities (§4.2): predicates over categorical service outputs and
 //! numeric statistics, instead of raw pixels.
 
+use std::sync::Arc;
+
 use cm_featurespace::{FeatureTable, FrozenTable};
 
 /// A labeling-function vote.
@@ -310,7 +312,9 @@ impl LabelingFunction for ConjunctionLf {
 #[derive(Debug, Clone)]
 pub struct BoundScoreLf {
     name: String,
-    scores: Vec<f64>,
+    scores: Arc<[f64]>,
+    /// Index into `scores` of this LF's row 0 (see [`BoundScoreLf::rebased`]).
+    first_row: usize,
     /// Rows scoring at or above this vote positive.
     pub positive_threshold: f64,
     /// Rows scoring at or below this vote negative (must not exceed
@@ -325,7 +329,7 @@ impl BoundScoreLf {
     /// Panics if `negative_threshold > positive_threshold`.
     pub fn new(
         name: impl Into<String>,
-        scores: Vec<f64>,
+        scores: impl Into<Arc<[f64]>>,
         positive_threshold: f64,
         negative_threshold: f64,
     ) -> Self {
@@ -333,12 +337,30 @@ impl BoundScoreLf {
             negative_threshold <= positive_threshold,
             "negative threshold {negative_threshold} exceeds positive {positive_threshold}"
         );
-        Self { name: name.into(), scores, positive_threshold, negative_threshold }
+        Self {
+            name: name.into(),
+            scores: scores.into(),
+            first_row: 0,
+            positive_threshold,
+            negative_threshold,
+        }
     }
 
-    /// The bound scores.
+    /// The bound scores, from this LF's row 0 on.
     pub fn scores(&self) -> &[f64] {
-        &self.scores
+        self.scores.get(self.first_row..).unwrap_or_default()
+    }
+
+    /// The same LF with its row 0 moved to this LF's row `first_row`:
+    /// what votes on a table segment that starts at that row. Shares the
+    /// scores instead of copying them.
+    pub fn rebased(&self, first_row: usize) -> Self {
+        Self {
+            scores: Arc::clone(&self.scores),
+            first_row: self.first_row + first_row,
+            name: self.name.clone(),
+            ..*self
+        }
     }
 }
 
@@ -363,7 +385,7 @@ impl BoundScoreLf {
     /// Out-of-range rows abstain.
     #[inline]
     pub fn vote_row(&self, row: usize) -> Vote {
-        match self.scores.get(row) {
+        match self.scores.get(self.first_row + row) {
             Some(&s) if s >= self.positive_threshold => Vote::Positive,
             Some(&s) if s <= self.negative_threshold => Vote::Negative,
             _ => Vote::Abstain,

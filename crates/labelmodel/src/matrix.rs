@@ -123,11 +123,11 @@ impl LabelMatrix {
     }
 
     /// Applies every LF to `table`, appending the votes in place — the
-    /// zero-copy segment path of the sharded driver. Bit-identical to
-    /// [`LabelMatrix::apply_with`] on `table` followed by a
-    /// [`LabelMatrix::push_row`] per row, without the intermediate segment
-    /// matrix: same freeze, same parallel threshold, same chunking over
-    /// the same rows, writing straight into this matrix's buffer.
+    /// zero-copy segment path of the curation driver. Bit-identical to
+    /// appending the rows of [`LabelMatrix::apply_with`] on `table`,
+    /// without the intermediate segment matrix: same freeze, same parallel
+    /// threshold, same chunking over the same rows, writing straight into
+    /// this matrix's buffer.
     ///
     /// # Panics
     /// Panics unless `lfs` matches this matrix's columns; re-raises a
@@ -309,8 +309,7 @@ impl LabelMatrix {
 
     /// An empty matrix over `names` with buffer space for `n_rows` rows
     /// reserved up front — the destination for streaming appends
-    /// ([`LabelMatrix::apply_append_with`], [`LabelMatrix::push_row`]),
-    /// which then fill one allocation in place instead of gathering
+    /// ([`LabelMatrix::apply_append_with`]), which then fill one allocation in place instead of gathering
     /// per-segment matrices and copying them all again at the end. Votes
     /// are pure per-row values, so appending segment by segment is
     /// bit-identical to applying the LFs to the whole table — the
@@ -318,24 +317,6 @@ impl LabelMatrix {
     pub fn with_row_capacity(n_rows: usize, names: Vec<String>) -> LabelMatrix {
         let n_lfs = names.len();
         LabelMatrix { n_rows: 0, n_lfs, votes: Vec::with_capacity(n_rows * n_lfs), names }
-    }
-
-    /// Appends one row of votes.
-    ///
-    /// # Panics
-    /// Panics unless `row` holds exactly one vote per LF column.
-    pub fn push_row(&mut self, row: &[i8]) {
-        assert_eq!(row.len(), self.n_lfs, "row width mismatch");
-        self.votes.extend_from_slice(row);
-        self.n_rows += 1;
-    }
-
-    /// Approximate resident size in bytes (vote buffer dominates); used by
-    /// the sharded driver's memory accounting.
-    pub fn approx_bytes(&self) -> usize {
-        self.votes.len() * std::mem::size_of::<i8>()
-            + self.names.iter().map(|n| n.len() + std::mem::size_of::<String>()).sum::<usize>()
-            + std::mem::size_of::<Self>()
     }
 
     /// Resident bytes counting reserved-but-unfilled vote capacity — what
@@ -597,25 +578,17 @@ mod tests {
     fn segment_appends_match_whole_apply() {
         let t = table(100);
         let whole = LabelMatrix::apply(&t, &lfs());
-        // Both append paths the sharded driver takes, over the same
-        // segments in the same order into one preallocated buffer: LF
-        // votes applied straight into it, or a segment matrix pushed row
-        // by row. Either way, the bits of one resident apply.
+        // The curation driver's append path, over segments in order into
+        // one preallocated buffer: the bits of one resident apply.
         let mut applied = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-        let mut by_row = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
         for (start, end) in [(0usize, 1usize), (1, 37), (37, 100)] {
             let mut seg = FeatureTable::new(Arc::clone(t.schema()));
             for r in start..end {
                 seg.push_row(&t.row(r));
             }
             applied.apply_append_with(&seg, &lfs(), &ParConfig::serial());
-            let seg_votes = LabelMatrix::apply(&seg, &lfs());
-            for r in 0..seg_votes.n_rows() {
-                by_row.push_row(seg_votes.row(r));
-            }
         }
         assert_eq!(applied, whole);
-        assert_eq!(by_row, whole);
     }
 
     #[test]

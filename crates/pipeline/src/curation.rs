@@ -1,6 +1,13 @@
 //! Training-data curation (pipeline step B, §4): automatic LF mining,
 //! optional label propagation, and the label model.
 //!
+//! This module holds the configuration, the output, the resident entry
+//! points [`curate`] and [`curate_with_lfs`], and the pieces the one
+//! curation driver in [`crate::stream`] shares with the incremental
+//! curator. The entry points hand [`TaskData`]'s resident pool to that
+//! driver as a single segment; `curate_streamed` hands it a generation
+//! stream instead.
+//!
 //! The label model defaults to the dev-anchored variant: LF vote rates are
 //! measured on the labeled old-modality corpus (§4.2's "use labeled data of
 //! existing modalities as a development set") and posteriors on the
@@ -9,20 +16,17 @@
 
 use std::time::Duration;
 
-use cm_faults::{FaultSummary, Stopwatch};
-use cm_featurespace::{FeatureSchema, FeatureSet, Label, ServingMode, SimilarityConfig};
-use cm_labelmodel::{
-    majority_vote, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel, LabelMatrix,
-    LabelingFunction, LfRates,
-};
+use cm_featurespace::{FeatureSchema, FeatureSet, FeatureTable, Label, ServingMode};
+use cm_labelmodel::{BoundScoreLf, GenerativeConfig, LabelingFunction};
 use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
-use cm_mining::{mine_lfs, MiningConfig};
-use cm_par::ParConfig;
-use cm_propagation::{propagate, tune_score_thresholds, GraphBuilder, PropagationConfig};
+use cm_mining::MiningConfig;
+use cm_orgsim::ModalityDataset;
+use cm_propagation::{tune_score_thresholds, PropagationConfig};
 
 use crate::data::TaskData;
-use crate::report::{DegradationReport, LfAbstainRates};
+use crate::report::DegradationReport;
+use crate::stream::{curate_resident, LfSource};
 
 /// Which label model combines LF votes into probabilistic labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,18 +132,7 @@ pub struct CurationOutput {
 
 /// Runs curation with automatically mined LFs (§4.3 + §4.4).
 pub fn curate(data: &TaskData, config: &CurationConfig) -> CurationOutput {
-    let mining_start = Stopwatch::start();
-    let columns = lf_columns(data.world.schema(), config);
-    let mined = mine_lfs(
-        &data.text.table,
-        &data.text.labels,
-        &columns,
-        &config.mining,
-        config.max_positive_lfs,
-        config.max_negative_lfs,
-    );
-    let mining_time = mining_start.elapsed();
-    curate_with_lfs(data, config, mined.lfs, mining_time)
+    curate_resident(data, config, LfSource::Mined)
 }
 
 /// Runs curation with a caller-provided LF suite (e.g. the hand-written
@@ -150,210 +143,7 @@ pub fn curate_with_lfs(
     lfs: Vec<Box<dyn LabelingFunction>>,
     authoring_time: Duration,
 ) -> CurationOutput {
-    // Dev evidence for the base LFs: the whole labeled text corpus.
-    let dev_matrix = LabelMatrix::apply(&data.text.table, &lfs);
-    let prior = data.text.positive_rate().clamp(1e-4, 0.5);
-
-    // Optional propagation LF, with its own dev slice.
-    let mut propagation_time = None;
-    let mut prop = None;
-    if config.use_label_propagation {
-        let start = Stopwatch::start();
-        prop = propagation_artifacts(data, config);
-        propagation_time = Some(start.elapsed());
-    }
-
-    let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
-    let mut pool_matrix = LabelMatrix::apply(&data.pool.table, &lfs);
-    let mut prop_rates: Option<LfRates> = None;
-    if let Some(p) = &prop {
-        lf_names.push("label_propagation".to_owned());
-        prop_rates = Some(LfRates::estimate(&p.dev_votes, &p.dev_labels));
-        // Extend the pool matrix with the propagation column.
-        let n = pool_matrix.n_rows();
-        let mut votes = Vec::with_capacity(n * (pool_matrix.n_lfs() + 1));
-        for r in 0..n {
-            votes.extend_from_slice(pool_matrix.row(r));
-            votes.push(p.pool_lf.vote(&data.pool.table, r).as_i8());
-        }
-        pool_matrix = LabelMatrix::from_votes(n, lf_names.len(), votes, lf_names.clone());
-    }
-
-    finish_curation(
-        ModelInputs {
-            dev_matrix: &dev_matrix,
-            dev_labels: &data.text.labels,
-            prop_dev_votes: prop.as_ref().map(|p| p.dev_votes.as_slice()),
-            prop_rates,
-            pool_matrix,
-            lf_names,
-            prior,
-            pool_truth: &data.pool.labels,
-            fault_summary: data.fault_summary.as_ref(),
-        },
-        config,
-        authoring_time,
-        propagation_time,
-        &ParConfig::from_env(),
-    )
-}
-
-/// Everything the model-fitting tail of curation needs, assembled either
-/// resident ([`curate_with_lfs`]) or segment by segment
-/// (`crate::stream::curate_streamed`). Both assemblies produce identical
-/// inputs, so sharing the tail makes the two paths agree by construction.
-pub(crate) struct ModelInputs<'a> {
-    /// LF votes over the labeled dev corpus (base LFs only).
-    pub dev_matrix: &'a LabelMatrix,
-    /// Dev corpus ground truth.
-    pub dev_labels: &'a [Label],
-    /// The propagation LF's votes on its dev slice, when present.
-    pub prop_dev_votes: Option<&'a [i8]>,
-    /// The propagation LF's dev-estimated rates, when present.
-    pub prop_rates: Option<LfRates>,
-    /// LF votes over the pool (propagation column included, when present).
-    pub pool_matrix: LabelMatrix,
-    /// LF names, one per pool-matrix column.
-    pub lf_names: Vec<String>,
-    /// Class prior, already clamped.
-    pub prior: f64,
-    /// Pool ground truth (diagnostics only).
-    pub pool_truth: &'a [Label],
-    /// Fault telemetry when datasets came through an access layer.
-    pub fault_summary: Option<&'a FaultSummary>,
-}
-
-/// The model-fitting tail shared by the resident and streamed drivers:
-/// abstain telemetry, degradation drops, label-model fit/predict, and the
-/// quality report. Thread-count invariant (every parallel substrate it
-/// calls is), so resident and streamed callers may pass different `par`.
-pub(crate) fn finish_curation(
-    inputs: ModelInputs<'_>,
-    config: &CurationConfig,
-    mining_time: Duration,
-    propagation_time: Option<Duration>,
-    par: &ParConfig,
-) -> CurationOutput {
-    let ModelInputs {
-        dev_matrix,
-        dev_labels,
-        prop_dev_votes,
-        prop_rates,
-        pool_matrix,
-        lf_names,
-        prior,
-        pool_truth,
-        fault_summary,
-    } = inputs;
-    let n_rows = pool_matrix.n_rows();
-    let n_lfs = pool_matrix.n_lfs();
-
-    // Abstain-rate telemetry: dev rates over the evidence the LF weights
-    // are estimated on (whole corpus for base LFs, the propagation dev
-    // slice for the propagation LF), pool rates over the pool votes.
-    let mut dev_abstain: Vec<f64> = (0..dev_matrix.n_lfs())
-        .map(|c| {
-            (0..dev_matrix.n_rows()).filter(|&r| dev_matrix.row(r)[c] == 0).count() as f64
-                / dev_matrix.n_rows().max(1) as f64
-        })
-        .collect();
-    if let Some(votes) = prop_dev_votes {
-        dev_abstain
-            .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
-    }
-    let pool_abstain: Vec<f64> = (0..n_lfs)
-        .map(|c| {
-            (0..n_rows).filter(|&r| pool_matrix.row(r)[c] == 0).count() as f64
-                / n_rows.max(1) as f64
-        })
-        .collect();
-
-    // Graceful degradation: a column that abstains on every dev row has no
-    // rate evidence and is dropped in any run. A column that abstains on
-    // every *pool* row casts no vote yet still shifts anchored posteriors
-    // through its abstain likelihood; on clean runs that likelihood is
-    // dev-calibrated and legitimately models modality shift, but on
-    // fault-injected runs the abstention is caused by service loss the dev
-    // calibration never saw — so those columns are dropped only when the
-    // datasets came through a fault-injecting access layer.
-    let fault_aware = fault_summary.is_some();
-    let dropped_idx: Vec<usize> = (0..n_lfs)
-        .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
-        .collect();
-    let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
-    let active_matrix = if dropped_idx.is_empty() {
-        pool_matrix
-    } else {
-        pool_matrix.without_columns(&dropped_idx)
-    };
-
-    // Coverage is invariant to dropping all-abstain columns, so clean runs
-    // see exactly the pre-degradation semantics.
-    let covered: Vec<bool> =
-        (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
-
-    let probabilistic_labels = if active_matrix.n_lfs() == 0 {
-        vec![prior; n_rows]
-    } else {
-        match config.label_model {
-            LabelModelKind::Anchored => {
-                let mut rates =
-                    AnchoredModel::fit(dev_matrix, dev_labels, Some(prior)).rates().to_vec();
-                if let Some(r) = prop_rates {
-                    rates.push(r);
-                }
-                // Fitting is per-column independent, so dropping rate
-                // entries by index equals fitting on the reduced matrix.
-                let rates: Vec<LfRates> = rates
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(c, _)| !dropped_idx.contains(&c))
-                    .map(|(_, r)| r)
-                    .collect();
-                AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
-            }
-            LabelModelKind::Em => {
-                let gen_cfg =
-                    GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
-                GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
-                    .predict_with(&active_matrix, par)
-            }
-            LabelModelKind::MajorityVote => majority_vote(&active_matrix),
-        }
-    };
-
-    let pool_coverage = covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
-    let lf_abstain: Vec<LfAbstainRates> = lf_names
-        .iter()
-        .enumerate()
-        .map(|(c, name)| LfAbstainRates {
-            name: name.clone(),
-            dev_abstain_rate: dev_abstain[c],
-            pool_abstain_rate: pool_abstain[c],
-            dropped: dropped_idx.contains(&c),
-        })
-        .collect();
-    let degradation = DegradationReport {
-        fault_seed: fault_summary.map_or(0, |s| s.seed),
-        tripped_services: fault_summary.map_or_else(Vec::new, FaultSummary::tripped_services),
-        dropped_lfs,
-        pool_coverage,
-        lf_abstain,
-        faults: fault_summary.cloned(),
-        serving: None,
-    };
-
-    let ws_quality = ws_quality(&probabilistic_labels, &covered, pool_truth);
-    CurationOutput {
-        probabilistic_labels,
-        covered,
-        lf_names,
-        ws_quality,
-        mining_time,
-        propagation_time,
-        conflict: active_matrix.conflict(),
-        degradation,
-    }
+    curate_resident(data, config, LfSource::Provided(lfs, authoring_time))
 }
 
 /// The columns LFs may reference: shared features of the configured sets,
@@ -389,118 +179,82 @@ pub(crate) fn sim_columns(schema: &FeatureSchema, config: &CurationConfig) -> Ve
     columns
 }
 
-/// Splits the labeled corpus for propagation: a dev slice for threshold
-/// tuning and seed vertices (every positive plus negatives up to the cap).
-/// Purely a function of `(labels, config.seed, config.prop_max_seeds)`, so
-/// the streamed driver derives the identical split.
-pub(crate) fn prop_split(labels: &[Label], config: &CurationConfig) -> (Vec<usize>, Vec<usize>) {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5EED);
-    let mut idx: Vec<usize> = (0..labels.len()).collect();
-    idx.shuffle(&mut rng);
-    let dev_len = (labels.len() / 5).max(1);
-    let (dev_idx, rest) = idx.split_at(dev_len.min(idx.len()));
-    let mut seed_idx: Vec<usize> =
-        rest.iter().copied().filter(|&r| labels[r].is_positive()).collect();
-    let mut neg_budget = config.prop_max_seeds.saturating_sub(seed_idx.len());
-    for &r in rest {
-        if neg_budget == 0 {
-            break;
-        }
-        if !labels[r].is_positive() {
-            seed_idx.push(r);
-            neg_budget -= 1;
-        }
-    }
-    (dev_idx.to_vec(), seed_idx)
-}
-
-pub(crate) struct PropagationArtifacts {
-    pub pool_lf: BoundScoreLf,
-    pub dev_votes: Vec<i8>,
+/// The label-propagation set-up (§4.4) every propagation-LF builder
+/// shares — the batch driver and the incremental curator. The labeled
+/// corpus splits into a dev slice for threshold tuning and seed vertices
+/// (every positive plus negatives up to the cap); the split is purely a
+/// function of `(labels, config.seed, config.prop_max_seeds)`.
+pub(crate) struct PropSetup {
+    /// The propagation corpus: the seed rows, then the dev rows, gathered
+    /// from the labeled corpus. Pool rows, when resident, follow them.
+    pub corpus: FeatureTable,
+    /// Seed vertices `(vertex, label)`: the corpus's first rows.
+    pub seeds: Vec<(usize, f64)>,
+    /// Dev-slice ground truth, one per dev row of the corpus.
     pub dev_labels: Vec<Label>,
+    /// Propagation settings, with the labeled corpus's class prior.
+    pub cfg: PropagationConfig,
 }
 
-/// Turns propagated scores over a `[seeds | dev | pool]` corpus into the
-/// propagation LF: thresholds tuned on the dev slice, scores bound to the
-/// pool rows. `None` when no thresholds clear the configured precision
-/// floor (the resident and streamed drivers then both omit the LF).
-pub(crate) fn prop_artifacts_from_scores(
-    scores: &[f64],
-    seed_len: usize,
-    dev_labels: Vec<Label>,
-    config: &CurationConfig,
-) -> Option<PropagationArtifacts> {
-    let dev_scores = &scores[seed_len..seed_len + dev_labels.len()];
-    let tuned = tune_score_thresholds(
-        dev_scores,
-        &dev_labels,
-        config.prop_min_precision,
-        config.prop_max_leakage,
-    )?;
-    let dev_votes: Vec<i8> = dev_scores
-        .iter()
-        .map(|&s| {
-            if s >= tuned.positive {
-                1
-            } else if s <= tuned.negative {
-                -1
-            } else {
-                0
-            }
+impl PropSetup {
+    /// Splits `text` and gathers the corpus head. `None` when the split
+    /// leaves no seed vertex (nothing to propagate from).
+    pub(crate) fn new(text: &ModalityDataset, config: &CurationConfig) -> Option<Self> {
+        let labels = &text.labels;
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5EED);
+        let mut idx: Vec<usize> = (0..labels.len()).collect();
+        idx.shuffle(&mut rng);
+        let dev_len = (labels.len() / 5).max(1);
+        let (dev_idx, rest) = idx.split_at(dev_len.min(idx.len()));
+        let mut seed_idx: Vec<usize> =
+            rest.iter().copied().filter(|&r| labels[r].is_positive()).collect();
+        let neg_budget = config.prop_max_seeds.saturating_sub(seed_idx.len());
+        seed_idx
+            .extend(rest.iter().copied().filter(|&r| !labels[r].is_positive()).take(neg_budget));
+        if seed_idx.is_empty() {
+            return None;
+        }
+        let mut corpus = text.table.gather(&seed_idx);
+        corpus.extend_from(&text.table.gather(dev_idx));
+        Some(PropSetup {
+            corpus,
+            seeds: seed_idx.iter().enumerate().map(|(v, &r)| (v, labels[r].as_f64())).collect(),
+            dev_labels: dev_idx.iter().map(|&r| labels[r]).collect(),
+            cfg: PropagationConfig {
+                max_iters: 50,
+                tol: 1e-4,
+                prior: text.positive_rate().clamp(1e-4, 0.5),
+            },
         })
-        .collect();
-    let pool_scores = scores[seed_len + dev_labels.len()..].to_vec();
-    Some(PropagationArtifacts {
-        pool_lf: BoundScoreLf::new(
-            "label_propagation",
-            pool_scores,
-            tuned.positive,
-            tuned.negative,
-        ),
-        dev_votes,
-        dev_labels,
-    })
-}
-
-/// Builds the label-propagation LF (§4.4): seeds from the old modality,
-/// thresholds tuned on a held-out old-modality dev slice, scores bound to
-/// the pool rows. Also returns the dev slice's votes so the anchored label
-/// model can estimate the LF's class-conditional rates.
-fn propagation_artifacts(data: &TaskData, config: &CurationConfig) -> Option<PropagationArtifacts> {
-    let schema = data.world.schema();
-    let sim_columns = sim_columns(schema, config);
-
-    // Split text rows: seeds (clamped) vs dev (for threshold tuning).
-    let (dev_idx, seed_idx) = prop_split(&data.text.labels, config);
-    if seed_idx.is_empty() {
-        return None;
     }
 
-    // Combined table: [seeds | dev | pool].
-    let seed_table = data.text.table.gather(&seed_idx);
-    let dev_table = data.text.table.gather(&dev_idx);
-    let mut combined = seed_table.clone();
-    combined.extend_from(&dev_table);
-    combined.extend_from(&data.pool.table);
-
-    let sim = SimilarityConfig::uniform(sim_columns).fit_scales(&combined);
-    let builder = GraphBuilder::approximate(config.prop_k, combined.len());
-    let graph = builder.build(&combined, &sim, config.seed ^ 0x6EA9);
-
-    let seeds: Vec<(usize, f64)> =
-        seed_idx.iter().enumerate().map(|(v, &r)| (v, data.text.labels[r].as_f64())).collect();
-    let prop_cfg = PropagationConfig {
-        max_iters: 50,
-        tol: 1e-4,
-        prior: data.text.positive_rate().clamp(1e-4, 0.5),
-    };
-    let scores = propagate(&graph, &seeds, &prop_cfg);
-
-    let dev_labels: Vec<Label> = dev_idx.iter().map(|&r| data.text.labels[r]).collect();
-    prop_artifacts_from_scores(&scores, seed_idx.len(), dev_labels, config)
+    /// Turns propagated scores over `[seeds | dev | pool]` into the
+    /// propagation LF: thresholds tuned on the dev slice, the pool's
+    /// scores bound to it. Also returns the LF's votes on the dev slice.
+    /// `None` when no thresholds clear the configured precision floor
+    /// (the LF is then omitted).
+    pub(crate) fn lf_from_scores(
+        &self,
+        scores: &[f64],
+        config: &CurationConfig,
+    ) -> Option<(BoundScoreLf, Vec<i8>)> {
+        let dev_start = self.seeds.len();
+        let pool_start = dev_start + self.dev_labels.len();
+        let dev_scores = &scores[dev_start..pool_start];
+        let tuned = tune_score_thresholds(
+            dev_scores,
+            &self.dev_labels,
+            config.prop_min_precision,
+            config.prop_max_leakage,
+        )?;
+        let lf = |name, scores| BoundScoreLf::new(name, scores, tuned.positive, tuned.negative);
+        let dev_lf = lf("", dev_scores);
+        let dev_votes = (0..dev_scores.len()).map(|r| dev_lf.vote_row(r).as_i8()).collect();
+        Some((lf("label_propagation", &scores[pool_start..]), dev_votes))
+    }
 }
 
-fn ws_quality(probs: &[f64], covered: &[bool], truth: &[Label]) -> WsQuality {
+pub(crate) fn ws_quality(probs: &[f64], covered: &[bool], truth: &[Label]) -> WsQuality {
     let n_pos = truth.iter().filter(|l| l.is_positive()).count();
     let mut tp = 0usize;
     let mut fp = 0usize;

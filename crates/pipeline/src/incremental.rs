@@ -31,18 +31,14 @@
 //! corpus only (the pool isn't known upfront), and the label model is
 //! always the warm-startable EM model rather than the dev-anchored one.
 
-use cm_featurespace::{FeatureTable, FrozenTable, Label, SimilarityConfig};
+use cm_featurespace::{FeatureTable, FrozenTable, SimilarityConfig};
 use cm_labelmodel::{GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, WarmStart};
 use cm_mining::mine_lfs;
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
-use cm_propagation::{
-    propagate, OnlineGraph, OnlineGraphDelta, OnlineGraphState, PropagationConfig,
-};
+use cm_propagation::{propagate, OnlineGraph, OnlineGraphDelta, OnlineGraphState};
 
-use crate::curation::{
-    lf_columns, prop_artifacts_from_scores, prop_split, sim_columns, CurationConfig,
-};
+use crate::curation::{lf_columns, sim_columns, CurationConfig, PropSetup};
 
 /// Configuration of the incremental curator.
 #[derive(Debug, Clone)]
@@ -171,18 +167,13 @@ impl IncrementalState {
 }
 
 struct PropScaffold {
+    /// The shared propagation set-up. Every ingested pool row is appended
+    /// to its `[seeds | dev]` corpus, the vertex table the online graph
+    /// indexes into.
+    setup: PropSetup,
     /// Fitted similarity config over the propagation columns.
     sim: SimilarityConfig,
-    /// `[seeds | dev]` rows followed by every ingested pool row — the
-    /// vertex table the online graph indexes into.
-    combined: FeatureTable,
-    /// Seed vertices `(vertex, label)` for propagation.
-    seeds: Vec<(usize, f64)>,
-    /// Dev-slice ground truth for threshold tuning.
-    dev_labels: Vec<Label>,
-    seed_len: usize,
     online: OnlineGraph,
-    prop_cfg: PropagationConfig,
 }
 
 /// The incremental curation state machine. See the module docs for the
@@ -225,36 +216,19 @@ impl IncrementalCurator {
         let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
         let prior = text.positive_rate().clamp(1e-4, 0.5);
 
+        // An empty seed set can't propagate; fall back to base LFs only.
         let prop = config
             .curation
             .use_label_propagation
-            .then(|| {
-                let (dev_idx, seed_idx) = prop_split(&text.labels, &config.curation);
-                let mut combined = text.table.gather(&seed_idx);
-                combined.extend_from(&text.table.gather(&dev_idx));
+            .then(|| PropSetup::new(text, &config.curation))
+            .flatten()
+            .map(|setup| {
                 let sim = SimilarityConfig::uniform(sim_columns(world.schema(), &config.curation))
-                    .fit_scales(&combined);
-                let seeds: Vec<(usize, f64)> = seed_idx
-                    .iter()
-                    .enumerate()
-                    .map(|(v, &r)| (v, text.labels[r].as_f64()))
-                    .collect();
-                let dev_labels: Vec<Label> = dev_idx.iter().map(|&r| text.labels[r]).collect();
+                    .fit_scales(&setup.corpus);
                 let mut online = OnlineGraph::new(config.curation.prop_k);
-                online.insert_rows(&FrozenTable::freeze(&combined), &sim);
-                let prop_cfg = PropagationConfig { max_iters: 50, tol: 1e-4, prior };
-                PropScaffold {
-                    sim,
-                    combined,
-                    seeds,
-                    dev_labels,
-                    seed_len: seed_idx.len(),
-                    online,
-                    prop_cfg,
-                }
-            })
-            // An empty seed set can't propagate; fall back to base LFs only.
-            .filter(|p| p.seed_len > 0);
+                online.insert_rows(&FrozenTable::freeze(&setup.corpus), &sim);
+                PropScaffold { setup, sim, online }
+            });
         if prop.is_some() {
             lf_names.push("label_propagation".to_owned());
         }
@@ -363,11 +337,11 @@ impl IncrementalCurator {
             self.base_votes.extend_from_slice(batch_matrix.row(r));
         }
         if let Some(p) = &mut self.prop {
-            p.combined.extend_from(&batch.table);
-            p.online.insert_rows(&FrozenTable::freeze(&p.combined), &p.sim);
+            p.setup.corpus.extend_from(&batch.table);
+            p.online.insert_rows(&FrozenTable::freeze(&p.setup.corpus), &p.sim);
         }
 
-        let matrix = self.assemble_matrix(par);
+        let matrix = self.assemble_matrix();
         let gen_cfg = GenerativeConfig {
             class_prior: Some(self.prior),
             max_iters: if self.warm.is_some() {
@@ -472,11 +446,11 @@ impl IncrementalCurator {
         c.warm = state.em_warm;
         c.em_iterations = state.em_iterations;
         if let (Some(p), Some(g)) = (&mut c.prop, state.graph) {
-            p.combined.extend_from(&c.pool.table);
+            p.setup.corpus.extend_from(&c.pool.table);
             p.online = OnlineGraph::from_snapshot(c.config.curation.prop_k, g);
         }
         if c.warm.is_some() {
-            let matrix = c.assemble_matrix(par);
+            let matrix = c.assemble_matrix();
             let model = c.current_model();
             c.refresh_outputs(&model, &matrix, par);
         }
@@ -496,7 +470,7 @@ impl IncrementalCurator {
     /// The full pool label matrix: accumulated base votes plus, when
     /// propagation is on, a freshly propagated-and-tuned column (all
     /// abstain when tuning clears no threshold).
-    fn assemble_matrix(&self, par: &ParConfig) -> LabelMatrix {
+    fn assemble_matrix(&self) -> LabelMatrix {
         let n = self.pool.len();
         let n_base = self.lfs.len();
         let Some(p) = &self.prop else {
@@ -507,21 +481,12 @@ impl IncrementalCurator {
                 self.lf_names.clone(),
             );
         };
-        let scores = propagate(&p.online.graph(), &p.seeds, &p.prop_cfg);
-        let artifacts = prop_artifacts_from_scores(
-            &scores,
-            p.seed_len,
-            p.dev_labels.clone(),
-            &self.config.curation,
-        );
-        let _ = par;
+        let scores = propagate(&p.online.graph(), &p.setup.seeds, &p.setup.cfg);
+        let pool_lf = p.setup.lf_from_scores(&scores, &self.config.curation).map(|(lf, _)| lf);
         let mut votes = Vec::with_capacity(n * (n_base + 1));
         for r in 0..n {
             votes.extend_from_slice(&self.base_votes[r * n_base..(r + 1) * n_base]);
-            votes.push(match &artifacts {
-                Some(a) => a.pool_lf.vote_row(r).as_i8(),
-                None => 0,
-            });
+            votes.push(pool_lf.as_ref().map_or(0, |lf| lf.vote_row(r).as_i8()));
         }
         LabelMatrix::from_votes(n, n_base + 1, votes, self.lf_names.clone())
     }

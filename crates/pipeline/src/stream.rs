@@ -1,51 +1,46 @@
-//! Sharded out-of-core curation driver.
+//! The one batch curation driver.
 //!
-//! [`curate_streamed`] runs the full curation step — LF mining, optional
-//! label propagation, LF application, and the label model — without ever
-//! materializing the unlabeled pool: `orgsim` generation is consumed in
+//! `curate_pool` runs the whole curation step — LF mining on the resident
+//! labeled text corpus, the optional label-propagation LF, LF application
+//! over the unlabeled pool, and the label model — over a pool that is
+//! either resident or streamed. `curate` and `curate_with_lfs` hand it
+//! [`TaskData`]'s resident pool, swept as one borrowed segment at offset 0
+//! (no gather, no copy) under an unbounded budget. [`curate_streamed`]
+//! never materializes the pool: `orgsim` generation is consumed in
 //! `CM_SHARD_ROWS`-sized segments under an explicit `CM_MEM_BUDGET`
-//! ([`cm_shard::MemTracker`] fails a run rather than exceed it), and every
-//! per-shard statistic merges deterministically in shard-index order.
+//! ([`cm_shard::MemTracker`] fails a run rather than exceed it).
 //!
-//! The output is **bit-identical** to the resident driver
-//! ([`crate::curation::curate`]) over [`crate::data::TaskData::generate`]
-//! with the same `(task, seed, config)`, at any shard size and any
-//! `CM_THREADS` — durations excepted. Each stage reduces to a mergeable
-//! substrate whose resident computation is the single-segment case:
-//!
-//! - **mining** — Apriori supports are popcounts over item bitsets the
-//!   [`ItemCatalogBuilder`] assembles segment by segment;
-//! - **propagation** — similarity scales come from the exact
-//!   `ScaleAccumulator` pair and the k-NN graph from
-//!   [`cm_shard::build_graph_sharded`], which replays the resident anchor
-//!   plan over segment sweeps;
-//! - **LF application** — votes are pure per-row, so per-segment
-//!   [`LabelMatrix`] applications append, in offset order, into one
-//!   preallocated resident matrix;
-//! - **the label model** — fitted on the dev corpus (anchored) or on exact
-//!   mergeable moments (EM), both thread- and segmentation-invariant.
-//!
-//! The labeled text corpus itself stays resident: it is the small
-//! old-modality dev set every stage anchors to, orders of magnitude
-//! smaller than the pools this driver exists for.
+//! The streamed output is **bit-identical** to `curate` over
+//! [`TaskData::generate`] with the same `(task, seed, config)`, at any
+//! shard size and any `CM_THREADS` — durations excepted. LF votes are pure
+//! per-row, so segment appends in offset order equal one whole-pool
+//! apply; the label model is fitted on the dev corpus (anchored) or on
+//! exact mergeable moments (EM); and the propagation graph's two sources
+//! (see `propagation_lf`) build the same edges bit for bit.
 
-use cm_faults::Stopwatch;
-use cm_featurespace::{CmResult, FrozenTable, Label, ModalityKind};
-use cm_labelmodel::{LabelMatrix, LfRates};
+use std::time::Duration;
+
+use cm_faults::{FaultSummary, Stopwatch};
+use cm_featurespace::{CmResult, FrozenTable, Label, ModalityKind, SimilarityConfig};
+use cm_labelmodel::{
+    majority_vote, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel, LabelMatrix,
+    LabelingFunction, LfRates,
+};
 use cm_mining::{lfs_from_itemsets, mine_from_bitsets, ItemCatalogBuilder};
 use cm_orgsim::{ModalityDataset, TaskConfig, World, WorldConfig};
 use cm_par::ParConfig;
-use cm_propagation::{propagate, GraphBuilder, PropagationConfig};
+use cm_propagation::{propagate, GraphBuilder};
 use cm_shard::corpus::dataset_bytes;
 use cm_shard::{
-    build_graph_sharded, fit_scales_sharded, for_each_pool_segment, MemTracker, SegmentedCorpus,
-    ShardConfig, StreamSpec,
+    build_graph_sharded, fit_scales_sharded, for_each_pool_segment, MemBudget, MemTracker,
+    SegmentedCorpus, ShardConfig, StreamSpec,
 };
 
 use crate::curation::{
-    finish_curation, lf_columns, prop_artifacts_from_scores, prop_split, sim_columns,
-    CurationConfig, CurationOutput, ModelInputs, PropagationArtifacts,
+    lf_columns, sim_columns, ws_quality, CurationConfig, CurationOutput, LabelModelKind, PropSetup,
 };
+use crate::data::TaskData;
+use crate::report::{DegradationReport, LfAbstainRates};
 
 /// Telemetry from a streamed curation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,24 +55,6 @@ pub struct StreamStats {
     pub pool_rows: usize,
 }
 
-/// Wall-clock per-stage timing of a streamed run. Out-of-band telemetry
-/// for the scale bench (locating where throughput goes as pools grow) —
-/// never part of the bit-identity contract.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamStageTiming {
-    /// LF mining over streamed text segments (catalog, bitsets, joins).
-    pub mining: std::time::Duration,
-    /// Sharded scale fit + graph build + propagation (zero when disabled).
-    pub propagation: std::time::Duration,
-    /// The pool sweep: segment generation plus LF application (append
-    /// time excluded — the stages are disjoint).
-    pub lf_application: std::time::Duration,
-    /// Appending per-segment votes into the preallocated pool matrix.
-    pub concat: std::time::Duration,
-    /// Label-model fit and output assembly.
-    pub model: std::time::Duration,
-}
-
 /// A streamed curation result: the (resident-identical) curation output
 /// plus sharding telemetry.
 pub struct StreamedCuration {
@@ -85,8 +62,6 @@ pub struct StreamedCuration {
     pub output: CurationOutput,
     /// Sharding and memory telemetry.
     pub stats: StreamStats,
-    /// Per-stage wall-clock timing (out-of-band).
-    pub timing: StreamStageTiming,
 }
 
 /// Runs sharded curation for `(task, seed)` under `shard`'s segment size
@@ -120,215 +95,364 @@ pub fn curate_streamed_with(
     // The per-dataset seeds `TaskData::generate` derives; segment streams
     // with these seeds concatenate to its datasets bit for bit.
     let ds = seed ^ 0xD1CE;
-    let n_text = world.config().task.n_text_labeled;
-    let n_pool = world.config().task.n_image_unlabeled;
+    let text = world.generate(ModalityKind::Text, world.config().task.n_text_labeled, ds ^ 0x1);
+    let spec = StreamSpec {
+        world: &world,
+        modality: ModalityKind::Image,
+        rows: world.config().task.n_image_unlabeled,
+        seed: ds ^ 0x2,
+    };
+    let pool = Pool::Streamed { spec, segment_rows: shard.segment_rows };
     let mut tracker = MemTracker::new(shard.budget);
+    let (output, segments) = curate_pool(&text, &pool, LfSource::Mined, config, &mut tracker, par)?;
+    let stats = StreamStats {
+        segments,
+        segment_rows: shard.segment_rows,
+        peak_bytes: tracker.peak(),
+        pool_rows: spec.rows,
+    };
+    Ok(StreamedCuration { output, stats })
+}
 
+/// Where a run's LF suite comes from.
+pub(crate) enum LfSource {
+    /// Mined from the labeled text corpus (§4.3).
+    Mined,
+    /// Provided by the caller, with its authoring time reported as the
+    /// mining time.
+    Provided(Vec<Box<dyn LabelingFunction>>, Duration),
+}
+
+/// Runs the driver over `data`'s resident pool: the body of `curate` and
+/// `curate_with_lfs`, which stay infallible.
+pub(crate) fn curate_resident(
+    data: &TaskData,
+    config: &CurationConfig,
+    lfs: LfSource,
+) -> CurationOutput {
+    let mut tracker = MemTracker::new(MemBudget::bytes(usize::MAX));
+    let par = ParConfig::from_env();
+    match curate_pool(&data.text, &Pool::Resident(data), lfs, config, &mut tracker, &par) {
+        Ok((output, _)) => output,
+        // A resident pool fails only on a refused charge, and the tracked
+        // total saturates at `usize::MAX`: this budget refuses none.
+        Err(e) => unreachable!("an unbounded memory budget refused a charge: {e}"),
+    }
+}
+
+/// The unlabeled pool a run curates.
+enum Pool<'a> {
+    /// A generated task's resident pool: one borrowed segment at offset 0.
+    Resident(&'a TaskData),
+    /// The pool [`World::generate`] would produce, regenerated in segments
+    /// of `segment_rows`.
+    Streamed { spec: StreamSpec<'a>, segment_rows: usize },
+}
+
+/// The one curation driver: takes or mines the LF suite, builds the
+/// optional propagation LF, sweeps the pool's segments into one vote
+/// matrix, and fits the label model. Every allocation it holds is charged
+/// to `tracker` while held. Returns the output and the segments swept.
+fn curate_pool(
+    text: &ModalityDataset,
+    pool: &Pool<'_>,
+    lfs: LfSource,
+    config: &CurationConfig,
+    tracker: &mut MemTracker,
+    par: &ParConfig,
+) -> CmResult<(CurationOutput, usize)> {
+    let n_rows = match pool {
+        Pool::Resident(data) => data.pool.len(),
+        Pool::Streamed { spec, .. } => spec.rows,
+    };
     // The labeled text corpus stays resident; charge it for the duration.
-    let text = world.generate(ModalityKind::Text, n_text, ds ^ 0x1);
-    tracker.charge(dataset_bytes(&text), "labeled text corpus")?;
+    tracker.charge(dataset_bytes(text), "labeled text corpus")?;
 
-    // LF mining over streamed text segments: catalog pass, bitset-fill
-    // pass, then the candidate/join phases on the assembled bitsets.
-    let mining_start = Stopwatch::start();
-    let columns = lf_columns(world.schema(), config);
-    let mut catalog_builder =
-        ItemCatalogBuilder::new(world.schema(), &columns, config.mining.numeric_bins);
-    for_each_pool_segment(
-        &world,
-        ModalityKind::Text,
-        n_text,
-        ds ^ 0x1,
-        shard.segment_rows,
-        &mut tracker,
-        &mut |_, seg, _| {
-            catalog_builder.observe(&FrozenTable::freeze(&seg.table));
-            Ok(())
-        },
-    )?;
-    let catalog = catalog_builder.finish();
-    let bitset_bytes = catalog.bitset_bytes();
-    tracker.charge(bitset_bytes, "item bitsets")?;
-    let mut item_bits = catalog.empty_bitsets();
-    for_each_pool_segment(
-        &world,
-        ModalityKind::Text,
-        n_text,
-        ds ^ 0x1,
-        shard.segment_rows,
-        &mut tracker,
-        &mut |offset, seg, _| {
-            catalog.fill(&FrozenTable::freeze(&seg.table), offset, &mut item_bits);
-            Ok(())
-        },
-    )?;
-    let mined = mine_from_bitsets(&catalog, &item_bits, &text.labels, &config.mining, par);
-    drop(item_bits);
-    tracker.release(bitset_bytes);
-    let lfs = lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs);
-    let mining_time = mining_start.elapsed();
-
+    let (lfs, mining_time) = match lfs {
+        LfSource::Provided(lfs, authoring_time) => (lfs, authoring_time),
+        LfSource::Mined => {
+            let start = Stopwatch::start();
+            let lfs = mine_text_lfs(text, config, tracker, par)?;
+            (lfs, start.elapsed())
+        }
+    };
+    // Dev evidence for the base LFs: the whole labeled text corpus.
     let dev_matrix = LabelMatrix::apply_with(&text.table, &lfs, par);
     let prior = text.positive_rate().clamp(1e-4, 0.5);
-
-    let mut timing = StreamStageTiming { mining: mining_time, ..StreamStageTiming::default() };
 
     let mut propagation_time = None;
     let mut prop = None;
     if config.use_label_propagation {
         let start = Stopwatch::start();
-        prop = propagation_streamed(&world, &text, n_pool, ds ^ 0x2, config, shard, &mut tracker)?;
-        let elapsed = start.elapsed();
-        propagation_time = Some(elapsed);
-        timing.propagation = elapsed;
+        prop = propagation_lf(text, pool, config, tracker, par)?;
+        propagation_time = Some(start.elapsed());
     }
 
-    let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
-    let mut prop_rates: Option<LfRates> = None;
+    // LF application over the pool's segments. Votes are pure per-row, so
+    // appending each segment's votes in offset order into one
+    // preallocated matrix is bit-identical to applying the LFs to the
+    // whole pool. The propagation LF joins the suite as its last column,
+    // rebased to each segment's first row, so every append writes whole
+    // rows.
+    let n_base = lfs.len();
+    let mut suite = lfs;
     if let Some(p) = &prop {
-        lf_names.push("label_propagation".to_owned());
-        prop_rates = Some(LfRates::estimate(&p.dev_votes, &p.dev_labels));
+        suite.push(Box::new(p.pool_lf.clone()));
     }
-
-    // LF application over streamed pool segments. Votes are pure per-row,
-    // so appending each segment's votes (in offset order) into one
-    // preallocated resident matrix is bit-identical to applying the LFs
-    // to the whole pool — and each segment matrix is dropped as soon as
-    // it is appended, so peak memory is one segment plus the final
-    // matrix, never the gather-then-copy doubling. The propagation
-    // column votes through the score-bound LF, which needs only the
-    // global row index.
-    let n_cols = lf_names.len();
-    let mut segments = 0usize;
-    let mut pool_matrix = LabelMatrix::with_row_capacity(n_pool, lf_names.clone());
+    let lf_names: Vec<String> = suite.iter().map(|l| l.name().to_owned()).collect();
+    let mut pool_matrix = LabelMatrix::with_row_capacity(n_rows, lf_names.clone());
     tracker.charge(pool_matrix.capacity_bytes(), "pool vote matrix")?;
-    let mut pool_truth: Vec<Label> = Vec::with_capacity(n_pool);
-    let mut row_buf: Vec<i8> = Vec::with_capacity(n_cols);
-    let apply_start = Stopwatch::start();
-    for_each_pool_segment(
-        &world,
-        ModalityKind::Image,
-        n_pool,
-        ds ^ 0x2,
-        shard.segment_rows,
-        &mut tracker,
-        &mut |offset, seg, tracker| {
-            segments += 1;
-            match &prop {
-                // The propagation column interleaves with the LF votes,
-                // so this path still applies into a segment matrix and
-                // streams its rows (plus the column) into the pool
-                // matrix — one copy, one segment resident at a time.
-                Some(p) => {
-                    let base = LabelMatrix::apply_with(&seg.table, &lfs, par);
-                    tracker.charge(base.approx_bytes(), "pool vote segment")?;
-                    let append_start = Stopwatch::start();
-                    for r in 0..base.n_rows() {
-                        row_buf.clear();
-                        row_buf.extend_from_slice(base.row(r));
-                        row_buf.push(p.pool_lf.vote_row(offset + r).as_i8());
-                        pool_matrix.push_row(&row_buf);
-                    }
-                    timing.concat += append_start.elapsed();
-                    let segment_bytes = base.approx_bytes();
-                    drop(base);
-                    tracker.release(segment_bytes);
-                }
-                // Without it the segment's votes are laid out exactly as
-                // the pool matrix stores them, so the LFs write straight
-                // into the preallocated buffer: no segment matrix, no
-                // copy, no concat stage at all.
-                None => pool_matrix.apply_append_with(&seg.table, &lfs, par),
-            }
-            pool_truth.extend_from_slice(&seg.labels);
-            Ok(())
-        },
-    )?;
-    // The append time rides inside the pool sweep; report the stages
-    // disjoint so their sum still tracks the sweep's wall clock.
-    timing.lf_application = apply_start.elapsed().saturating_sub(timing.concat);
+    tracker.charge(n_rows * size_of::<Label>(), "pool ground truth")?;
+    let mut pool_truth: Vec<Label> = Vec::with_capacity(n_rows);
+    let mut sweep = |offset: usize, seg: &ModalityDataset| {
+        if let Some(p) = &prop {
+            suite[n_base] = Box::new(p.pool_lf.rebased(offset));
+        }
+        pool_matrix.apply_append_with(&seg.table, &suite, par);
+        pool_truth.extend_from_slice(&seg.labels);
+    };
+    let mut segments = 0usize;
+    match pool {
+        Pool::Resident(data) => {
+            sweep(0, &data.pool);
+            segments = 1;
+        }
+        // Each streamed segment is charged while it is swept.
+        Pool::Streamed { spec, segment_rows } => for_each_pool_segment(
+            spec.world,
+            spec.modality,
+            spec.rows,
+            spec.seed,
+            *segment_rows,
+            tracker,
+            &mut |offset, seg, _| {
+                segments += 1;
+                sweep(offset, seg);
+                Ok(())
+            },
+        )?,
+    }
+    // Past the sweep only the propagation LF's dev evidence is needed.
+    drop(suite);
+    let prop = prop.map(|p| {
+        tracker.release(p.pool_lf.scores().len() * size_of::<f64>());
+        (p.dev_votes, p.rates)
+    });
 
-    let model_start = Stopwatch::start();
-    let output = finish_curation(
-        ModelInputs {
-            dev_matrix: &dev_matrix,
-            dev_labels: &text.labels,
-            prop_dev_votes: prop.as_ref().map(|p| p.dev_votes.as_slice()),
-            prop_rates,
-            pool_matrix,
-            lf_names,
-            prior,
-            pool_truth: &pool_truth,
-            fault_summary: None,
-        },
-        config,
+    // Abstain-rate telemetry: dev rates over the evidence the LF weights
+    // are estimated on (whole corpus for base LFs, the propagation dev
+    // slice for the propagation LF), pool rates over the pool votes.
+    let n_lfs = lf_names.len();
+    let mut dev_abstain = abstain_rates(&dev_matrix);
+    if let Some((votes, _)) = &prop {
+        dev_abstain
+            .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
+    }
+    let pool_abstain = abstain_rates(&pool_matrix);
+
+    // Graceful degradation: a column that abstains on every dev row has no
+    // rate evidence and is dropped in any run. A column that abstains on
+    // every *pool* row casts no vote yet still shifts anchored posteriors
+    // through its abstain likelihood; on clean runs that likelihood is
+    // dev-calibrated and legitimately models modality shift, but on
+    // fault-injected runs the abstention is caused by service loss the dev
+    // calibration never saw — so those columns are dropped only when the
+    // datasets came through a fault-injecting access layer.
+    let fault_summary = match pool {
+        Pool::Resident(data) => data.fault_summary.as_ref(),
+        Pool::Streamed { .. } => None,
+    };
+    let fault_aware = fault_summary.is_some();
+    let dropped_idx: Vec<usize> = (0..n_lfs)
+        .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
+        .collect();
+    let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
+    let active_matrix = if dropped_idx.is_empty() {
+        pool_matrix
+    } else {
+        // The full matrix stays held (and charged) next to its copy.
+        let reduced = pool_matrix.without_columns(&dropped_idx);
+        tracker.charge(reduced.capacity_bytes(), "column-dropped pool vote matrix")?;
+        reduced
+    };
+
+    // Coverage is invariant to dropping all-abstain columns, so clean runs
+    // see exactly the pre-degradation semantics.
+    let covered: Vec<bool> =
+        (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
+    tracker.charge(n_rows * size_of::<bool>(), "coverage flags")?;
+
+    let probabilistic_labels = if active_matrix.n_lfs() == 0 {
+        vec![prior; n_rows]
+    } else {
+        match config.label_model {
+            LabelModelKind::Anchored => {
+                let mut rates =
+                    AnchoredModel::fit(&dev_matrix, &text.labels, Some(prior)).rates().to_vec();
+                rates.extend(prop.as_ref().map(|&(_, r)| r));
+                // Fitting is per-column independent, so dropping rate
+                // entries by index equals fitting on the reduced matrix.
+                let rates: Vec<LfRates> = rates
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(c, _)| !dropped_idx.contains(&c))
+                    .map(|(_, r)| r)
+                    .collect();
+                AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
+            }
+            LabelModelKind::Em => {
+                let gen_cfg =
+                    GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
+                GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
+                    .predict_with(&active_matrix, par)
+            }
+            LabelModelKind::MajorityVote => majority_vote(&active_matrix),
+        }
+    };
+    tracker.charge(n_rows * size_of::<f64>(), "posteriors")?;
+
+    let pool_coverage = covered.iter().filter(|&&c| c).count() as f64 / covered.len().max(1) as f64;
+    let lf_abstain: Vec<LfAbstainRates> = lf_names
+        .iter()
+        .enumerate()
+        .map(|(c, name)| LfAbstainRates {
+            name: name.clone(),
+            dev_abstain_rate: dev_abstain[c],
+            pool_abstain_rate: pool_abstain[c],
+            dropped: dropped_idx.contains(&c),
+        })
+        .collect();
+    let degradation = DegradationReport {
+        fault_seed: fault_summary.map_or(0, |s| s.seed),
+        tripped_services: fault_summary.map_or_else(Vec::new, FaultSummary::tripped_services),
+        dropped_lfs,
+        pool_coverage,
+        lf_abstain,
+        faults: fault_summary.cloned(),
+        serving: None,
+    };
+
+    let ws_quality = ws_quality(&probabilistic_labels, &covered, &pool_truth);
+    let output = CurationOutput {
+        probabilistic_labels,
+        covered,
+        lf_names,
+        ws_quality,
         mining_time,
         propagation_time,
-        par,
-    );
-    timing.model = model_start.elapsed();
-    let stats = StreamStats {
-        segments,
-        segment_rows: shard.segment_rows,
-        peak_bytes: tracker.peak(),
-        pool_rows: n_pool,
+        conflict: active_matrix.conflict(),
+        degradation,
     };
-    Ok(StreamedCuration { output, stats, timing })
+    Ok((output, segments))
 }
 
-/// The streamed counterpart of the resident propagation-LF builder: the
-/// `[seeds | dev | pool]` corpus is a [`SegmentedCorpus`] whose pool tail
-/// streams from the world, the scale fit and graph build are the sharded
-/// replays, and everything downstream (propagation, threshold tuning, the
-/// score-bound LF) is the shared resident code.
-fn propagation_streamed(
-    world: &World,
+/// The share of abstain votes in each column of `matrix`.
+fn abstain_rates(matrix: &LabelMatrix) -> Vec<f64> {
+    let n = matrix.n_rows();
+    (0..matrix.n_lfs())
+        .map(|c| (0..n).filter(|&r| matrix.row(r)[c] == 0).count() as f64 / n.max(1) as f64)
+        .collect()
+}
+
+/// Mines the LF suite (§4.3) on the resident text corpus: one item
+/// catalog pass and one bitset fill, with the bitsets charged while the
+/// candidate and join phases run over them.
+fn mine_text_lfs(
     text: &ModalityDataset,
-    n_pool: usize,
-    pool_seed: u64,
     config: &CurationConfig,
-    shard: &ShardConfig,
     tracker: &mut MemTracker,
-) -> CmResult<Option<PropagationArtifacts>> {
-    let sim_cols = sim_columns(world.schema(), config);
-    let (dev_idx, seed_idx) = prop_split(&text.labels, config);
-    if seed_idx.is_empty() {
+    par: &ParConfig,
+) -> CmResult<Vec<Box<dyn LabelingFunction>>> {
+    let schema = text.table.schema();
+    let columns = lf_columns(schema, config);
+    let frozen = FrozenTable::freeze(&text.table);
+    let mut builder = ItemCatalogBuilder::new(schema, &columns, config.mining.numeric_bins);
+    builder.observe(&frozen);
+    let catalog = builder.finish();
+    let bitset_bytes = catalog.bitset_bytes();
+    tracker.charge(bitset_bytes, "item bitsets")?;
+    let mut item_bits = catalog.empty_bitsets();
+    catalog.fill(&frozen, 0, &mut item_bits);
+    let mined = mine_from_bitsets(&catalog, &item_bits, &text.labels, &config.mining, par);
+    drop(item_bits);
+    tracker.release(bitset_bytes);
+    Ok(lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs))
+}
+
+/// The label-propagation LF and its dev evidence.
+struct PropagationLf {
+    /// Propagated scores, bound to the pool rows.
+    pool_lf: BoundScoreLf,
+    /// The LF's votes on the dev slice.
+    dev_votes: Vec<i8>,
+    /// Class-conditional rates estimated from those votes.
+    rates: LfRates,
+}
+
+/// Builds the label-propagation LF (§4.4): seeds from the old modality, a
+/// k-NN graph over `[seeds | dev | pool]`, propagated scores, thresholds
+/// tuned on the dev slice. The pool-score copy the LF holds stays charged
+/// to `tracker`; the caller releases it when it drops the LF.
+///
+/// The graph source follows the pool kind. A resident pool is appended to
+/// the seed/dev table and goes through [`GraphBuilder::build_with`], the
+/// parallel builder on the fused pair kernel. A streamed pool goes through
+/// [`build_graph_sharded`], which replays the same plan over segment
+/// sweeps and matches it bit for bit, but single-threaded and on the
+/// reference similarity: on a resident pool it would about halve the
+/// throughput of a propagation-heavy curation.
+fn propagation_lf(
+    text: &ModalityDataset,
+    pool: &Pool<'_>,
+    config: &CurationConfig,
+    tracker: &mut MemTracker,
+    par: &ParConfig,
+) -> CmResult<Option<PropagationLf>> {
+    let Some(mut setup) = PropSetup::new(text, config) else {
         return Ok(None);
+    };
+    let sim_columns = sim_columns(text.table.schema(), config);
+    let graph_seed = config.seed ^ 0x6EA9;
+    if let Pool::Resident(data) = pool {
+        setup.corpus.extend_from(&data.pool.table);
     }
-    let seed_table = text.table.gather(&seed_idx);
-    let dev_table = text.table.gather(&dev_idx);
-    let head_bytes = seed_table.approx_bytes() + dev_table.approx_bytes();
-    tracker.charge(head_bytes, "propagation seed/dev tables")?;
-
-    let mut corpus = SegmentedCorpus::new(shard.segment_rows);
-    corpus.push_head(&seed_table);
-    corpus.push_head(&dev_table);
-    corpus.set_stream(StreamSpec {
-        world,
-        modality: ModalityKind::Image,
-        rows: n_pool,
-        seed: pool_seed,
-    });
-    let n_combined = corpus.total_rows();
-
-    let sim = fit_scales_sharded(&corpus, &sim_cols, tracker)?;
-    let builder = GraphBuilder::approximate(config.prop_k, n_combined);
-    let graph = build_graph_sharded(&corpus, &builder, &sim, config.seed ^ 0x6EA9, tracker)?;
+    let corpus_bytes = setup.corpus.approx_bytes();
+    tracker.charge(corpus_bytes, "propagation corpus")?;
+    let graph = match pool {
+        Pool::Resident(_) => {
+            let sim = SimilarityConfig::uniform(sim_columns).fit_scales(&setup.corpus);
+            GraphBuilder::approximate(config.prop_k, setup.corpus.len()).build_with(
+                &setup.corpus,
+                &sim,
+                graph_seed,
+                par,
+            )
+        }
+        Pool::Streamed { spec, segment_rows } => {
+            let mut corpus = SegmentedCorpus::new(*segment_rows);
+            corpus.push_head(&setup.corpus);
+            corpus.set_stream(*spec);
+            let sim = fit_scales_sharded(&corpus, &sim_columns, tracker)?;
+            let builder = GraphBuilder::approximate(config.prop_k, corpus.total_rows());
+            build_graph_sharded(&corpus, &builder, &sim, graph_seed, tracker)?
+        }
+    };
     let graph_bytes = graph.approx_bytes();
     tracker.charge(graph_bytes, "propagation graph")?;
-
-    let seeds: Vec<(usize, f64)> =
-        seed_idx.iter().enumerate().map(|(v, &r)| (v, text.labels[r].as_f64())).collect();
-    let prop_cfg = PropagationConfig {
-        max_iters: 50,
-        tol: 1e-4,
-        prior: text.positive_rate().clamp(1e-4, 0.5),
-    };
-    let scores = propagate(&graph, &seeds, &prop_cfg);
+    let scores = propagate(&graph, &setup.seeds, &setup.cfg);
+    let score_bytes = scores.len() * size_of::<f64>();
+    tracker.charge(score_bytes, "propagation scores")?;
     drop(graph);
     tracker.release(graph_bytes);
-    tracker.release(head_bytes);
 
-    let dev_labels: Vec<Label> = dev_idx.iter().map(|&r| text.labels[r]).collect();
-    Ok(prop_artifacts_from_scores(&scores, seed_idx.len(), dev_labels, config))
+    let prop = setup.lf_from_scores(&scores, config).map(|(pool_lf, dev_votes)| PropagationLf {
+        rates: LfRates::estimate(&dev_votes, &setup.dev_labels),
+        pool_lf,
+        dev_votes,
+    });
+    if let Some(p) = &prop {
+        tracker.charge(p.pool_lf.scores().len() * size_of::<f64>(), "propagation pool scores")?;
+    }
+    tracker.release(score_bytes + corpus_bytes);
+    Ok(prop)
 }

@@ -1173,14 +1173,24 @@ mod tests {
             420,
             AccessState {
                 now_ms: 910,
-                services: vec![ServiceAccessState {
-                    name: "img-embed".to_owned(),
+                // One stale snapshot of every feature-value kind.
+                services: [
+                    FeatureValue::Numeric(0.25),
+                    FeatureValue::Categorical(CatSet::single(3)),
+                    FeatureValue::Embedding(vec![0.1, -2.5, f32::MIN_POSITIVE]),
+                    FeatureValue::Missing,
+                ]
+                .into_iter()
+                .enumerate()
+                .map(|(i, snapshot)| ServiceAccessState {
+                    name: format!("service-{i}"),
                     consecutive_lost: 2,
-                    open: true,
+                    open: i == 0,
                     opened_at_ms: 640,
-                    snapshot: Some(FeatureValue::Numeric(0.25)),
+                    snapshot: Some(snapshot),
                     stats: Default::default(),
-                }],
+                })
+                .collect(),
             },
             IncrementalState {
                 n_batches: 3,
@@ -1297,6 +1307,8 @@ mod tests {
         assert_eq!(rec.checkpoint.pending.quarantine[0].retry_tick, 9);
         assert_eq!(rec.checkpoint.telemetry.latencies_ms, vec![15, 30]);
         assert_eq!(rec.checkpoint.access.services[0].opened_at_ms, 640);
+        // Every feature-value kind survives as a stale snapshot.
+        assert_eq!(rec.checkpoint.access, cp.access);
     }
 
     #[test]

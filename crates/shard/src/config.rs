@@ -122,11 +122,16 @@ impl ShardConfig {
 
 /// Charge/release accounting against a [`MemBudget`].
 ///
-/// Every allocation the streaming driver holds (segment tables, vote
-/// buffers, item bitsets, the anchor table, posteriors, the propagation
-/// graph) is charged here before use and released when dropped; a charge
-/// that would push the resident total past the budget fails instead of
-/// silently exceeding it, so a successful run **proves** `peak <= budget`.
+/// The curation driver charges what it holds resident here, and releases
+/// it when it drops it: the labeled text corpus, each streamed segment
+/// while it is processed, the mining item bitsets, the propagation corpus,
+/// the sharded k-NN builder's top-k lists, anchor table, routes, members
+/// and candidate lists, the propagation graph, the propagated scores, the
+/// propagation LF's copy of the pool scores, the pool vote matrix (and its
+/// copy when degraded LFs are dropped), the pool ground truth, the
+/// coverage flags and the posteriors. A charge that would push the
+/// resident total past the budget fails instead of silently exceeding it,
+/// so a successful run **proves** `peak <= budget` for those holdings.
 #[derive(Debug, Clone)]
 pub struct MemTracker {
     budget: usize,

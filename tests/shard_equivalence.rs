@@ -8,13 +8,15 @@
 //! individual substrates (Apriori supports, similarity scales, k-NN
 //! graphs).
 
-use cross_modal::featurespace::{FrozenTable, SimilarityConfig};
+use cross_modal::featurespace::{ErrorKind, FrozenTable, SimilarityConfig};
+use cross_modal::labelmodel::LabelMatrix;
 use cross_modal::mining::{
     mine_from_bitsets, mine_itemsets_with, ItemCatalogBuilder, MiningConfig,
 };
 use cross_modal::par::ParConfig;
 use cross_modal::prelude::*;
 use cross_modal::propagation::{GraphBuilder, KnnMethod};
+use cross_modal::shard::corpus::dataset_bytes;
 use cross_modal::shard::{
     build_graph_sharded, fit_scales_sharded, MemBudget, MemTracker, SegmentedCorpus, ShardConfig,
     StreamSpec,
@@ -119,6 +121,50 @@ fn streamed_curation_matches_resident_under_em_model() {
         )
         .unwrap();
         assert_outputs_match(&got.output, &want, &format!("em threads={threads}"));
+    }
+}
+
+/// The streamed driver charges what it holds, so its reported peak is a
+/// budget it fits exactly: a rerun at the peak succeeds with the same
+/// labels, one byte less is refused with a typed error. With propagation
+/// on, the peak covers what the pool sweep holds at once: the text
+/// corpus, the pool vote matrix and the propagation LF's pool scores.
+#[test]
+fn streamed_curation_fits_exactly_its_own_peak_budget() {
+    let data = TaskData::generate(task(), 5, Some(64));
+    let n_pool = data.pool.len();
+    for propagation in [false, true] {
+        let config = CurationConfig { use_label_propagation: propagation, ..fast_config() };
+        for segment_rows in [97usize, 1 << 20] {
+            let what = format!("propagation={propagation} shard_rows={segment_rows}");
+            let run = |budget: MemBudget| {
+                curate_streamed_with(
+                    task(),
+                    5,
+                    &config,
+                    &ShardConfig { segment_rows, budget },
+                    &ParConfig::threads(1),
+                )
+            };
+            let first = run(MemBudget::default()).unwrap();
+            let peak = first.stats.peak_bytes;
+            let at_peak = run(MemBudget::bytes(peak)).unwrap();
+            assert_outputs_match(&at_peak.output, &first.output, &what);
+            assert_eq!(at_peak.stats.peak_bytes, peak, "{what}");
+            let Err(err) = run(MemBudget::bytes(peak - 1)) else {
+                panic!("{what}: a budget one byte under the peak was accepted");
+            };
+            assert_eq!(err.kind, ErrorKind::InvalidConfig, "{what}: {err}");
+            if propagation {
+                assert!(
+                    first.output.lf_names.iter().any(|n| n == "label_propagation"),
+                    "{what}: fixture must exercise the propagation LF"
+                );
+                let matrix = LabelMatrix::with_row_capacity(n_pool, first.output.lf_names.clone());
+                let floor = dataset_bytes(&data.text) + matrix.capacity_bytes() + 8 * n_pool;
+                assert!(peak >= floor, "{what}: peak {peak} below the sweep's holdings {floor}");
+            }
+        }
     }
 }
 
