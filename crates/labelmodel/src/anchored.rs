@@ -17,6 +17,7 @@
 use cm_featurespace::Label;
 
 use crate::matrix::LabelMatrix;
+use crate::patterns::VotePatterns;
 
 /// Class-conditional vote rates of one LF.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,19 +221,44 @@ impl AnchoredModel {
 
     /// Probabilistic labels for a target matrix. Abstains carry their own
     /// (class-conditional) evidence; rows where every LF abstains still move
-    /// off the prior only as far as the abstain rates warrant.
+    /// off the prior only as far as the abstain rates warrant. Computed
+    /// once per distinct vote pattern ([`AnchoredModel::predict_patterns`])
+    /// and scattered back to rows.
     ///
     /// # Panics
     /// Panics if the LF count differs from the dev matrix.
     pub fn predict(&self, matrix: &LabelMatrix) -> Vec<f64> {
         assert_eq!(matrix.n_lfs(), self.rates.len(), "LF count mismatch");
-        (0..matrix.n_rows())
-            .map(|r| {
-                let mut log_pos = self.class_prior.ln();
-                let mut log_neg = (1.0 - self.class_prior).ln();
-                for (&v, rates) in matrix.row(r).iter().zip(&self.rates) {
-                    log_pos += rates.likelihood(v, true).ln();
-                    log_neg += rates.likelihood(v, false).ln();
+        let patterns = VotePatterns::from_matrix(matrix);
+        patterns.scatter(&self.predict_patterns(&patterns))
+    }
+
+    /// Posteriors of the table's distinct patterns, indexed by pattern id.
+    /// Each LF's `ln P(vote | y)` is taken once per vote value, and each
+    /// pattern sums its terms in column order, abstains included, so every
+    /// posterior equals a row-by-row evaluation's bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the LF count differs from the dev matrix.
+    pub fn predict_patterns(&self, patterns: &VotePatterns) -> Vec<f64> {
+        assert_eq!(patterns.n_lfs(), self.rates.len(), "LF count mismatch");
+        // Indexed `[vote + 1]` for votes -1, 0, +1.
+        let log_table = |positive: bool| -> Vec<[f64; 3]> {
+            self.rates.iter().map(|r| [-1, 0, 1].map(|v| r.likelihood(v, positive).ln())).collect()
+        };
+        let (log_pos_votes, log_neg_votes) = (log_table(true), log_table(false));
+        let (ln_prior, ln_not_prior) = (self.class_prior.ln(), (1.0 - self.class_prior).ln());
+        let distinct = patterns.distinct();
+        (0..distinct.n_rows())
+            .map(|p| {
+                let mut log_pos = ln_prior;
+                let mut log_neg = ln_not_prior;
+                for ((&v, pos), neg) in
+                    distinct.row(p).iter().zip(&log_pos_votes).zip(&log_neg_votes)
+                {
+                    let i = (v + 1) as usize;
+                    log_pos += pos[i];
+                    log_neg += neg[i];
                 }
                 let m = log_pos.max(log_neg);
                 let p = (log_pos - m).exp();
@@ -246,6 +272,25 @@ impl AnchoredModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Row-by-row posteriors, two `ln` calls per row per LF: the oracle of
+    /// [`AnchoredModel::predict`].
+    fn predict_rowwise(model: &AnchoredModel, matrix: &LabelMatrix) -> Vec<f64> {
+        (0..matrix.n_rows())
+            .map(|r| {
+                let mut log_pos = model.class_prior.ln();
+                let mut log_neg = (1.0 - model.class_prior).ln();
+                for (&v, rates) in matrix.row(r).iter().zip(&model.rates) {
+                    log_pos += rates.likelihood(v, true).ln();
+                    log_neg += rates.likelihood(v, false).ln();
+                }
+                let m = log_pos.max(log_neg);
+                let p = (log_pos - m).exp();
+                let n = (log_neg - m).exp();
+                p / (p + n)
+            })
+            .collect()
+    }
 
     /// Dev matrix: LF0 fires + on 80% of positives and 2% of negatives;
     /// LF1 fires - on 60% of negatives and 5% of positives.
@@ -386,5 +431,59 @@ mod tests {
         let model = AnchoredModel::fit(&m, &labels, None);
         let other = LabelMatrix::from_votes(1, 1, vec![1], vec!["x".into()]);
         model.predict(&other);
+    }
+
+    #[test]
+    fn pattern_predict_matches_rowwise_predict_bitwise() {
+        let (dev, labels) = dev_fixture(120, 880);
+        for prior in [None, Some(0.03), Some(0.5)] {
+            let model = AnchoredModel::fit(&dev, &labels, prior);
+            // Every vote combination, repeated, plus the dev rows.
+            let mut votes = Vec::new();
+            for i in 0..900 {
+                votes.push([1i8, 0, -1][i % 3]);
+                votes.push([0i8, -1, 1][(i / 3) % 3]);
+            }
+            let target = LabelMatrix::from_votes(900, 2, votes, dev.names().to_vec());
+            for m in [&target, &dev] {
+                let folded: Vec<u64> = model.predict(m).iter().map(|p| p.to_bits()).collect();
+                let rowwise: Vec<u64> =
+                    predict_rowwise(&model, m).iter().map(|p| p.to_bits()).collect();
+                assert_eq!(folded, rowwise, "prior = {prior:?}");
+            }
+        }
+    }
+
+    /// A wide suite with sparse votes, as mined suites look: 90 LFs with
+    /// seeded rates over 20k rows whose patterns repeat.
+    #[test]
+    fn wide_suite_pattern_predict_matches_rowwise_predict_bitwise() {
+        use cm_linalg::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let n_lfs = 90;
+        let rates: Vec<LfRates> = (0..n_lfs)
+            .map(|_| LfRates {
+                pos_given_pos: rng.gen_range(0.01..0.6),
+                neg_given_pos: rng.gen_range(0.0..0.2),
+                pos_given_neg: rng.gen_range(0.0..0.1),
+                neg_given_neg: rng.gen_range(0.01..0.5),
+            })
+            .collect();
+        let model = AnchoredModel::from_rates(rates, 0.04);
+        let n = 20_000;
+        let mut votes = vec![0i8; n * n_lfs];
+        for r in 0..n {
+            for _ in 0..rng.gen_range(0..4) {
+                let j = rng.gen_range(0..n_lfs / 3);
+                votes[r * n_lfs + j] = if rng.gen::<f64>() < 0.6 { 1 } else { -1 };
+            }
+        }
+        let names = (0..n_lfs).map(|j| format!("lf{j}")).collect();
+        let m = LabelMatrix::from_votes(n, n_lfs, votes, names);
+        let patterns = VotePatterns::from_matrix(&m);
+        assert!(patterns.n_patterns() < n / 2, "{} patterns", patterns.n_patterns());
+        let folded: Vec<u64> = model.predict(&m).iter().map(|p| p.to_bits()).collect();
+        let rowwise: Vec<u64> = predict_rowwise(&model, &m).iter().map(|p| p.to_bits()).collect();
+        assert_eq!(folded, rowwise);
     }
 }

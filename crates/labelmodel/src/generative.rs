@@ -10,15 +10,19 @@ use cm_linalg::StableSum;
 use cm_par::ParConfig;
 
 use crate::matrix::LabelMatrix;
+use crate::patterns::VotePatterns;
 
-/// Below this many vote cells (`rows * LFs`) the EM fit stays on the serial
-/// code path regardless of the requested thread count, so small fits never
-/// pay spawn overhead and path selection depends only on input size.
+/// Below this many pattern cells (`distinct patterns * LFs`) the EM fit
+/// and predict stay on the serial code path regardless of the requested
+/// thread count, so small fits never pay spawn overhead and path selection
+/// depends only on input size.
 const EM_PAR_THRESHOLD: usize = 50_000;
 
-/// Minimum rows per chunk for the parallel EM steps. Part of the chunk
-/// plan, so it must not depend on the thread count.
-const EM_MIN_ROWS_PER_CHUNK: usize = 256;
+/// Minimum patterns per chunk for the parallel EM steps. Part of the chunk
+/// plan, so it must not depend on the thread count. Each chunk zeroes and
+/// merges one [`EmMoments`] (about a kilobyte per LF), which costs as much
+/// as folding a few hundred patterns, so chunks stay large.
+const EM_MIN_PATTERNS_PER_CHUNK: usize = 2048;
 
 /// Configuration for [`GenerativeModel::fit`].
 #[derive(Debug, Clone)]
@@ -80,12 +84,42 @@ impl EmMoments {
         }
     }
 
-    /// Folds one row into the moments: `fresh` is this iteration's E-step
-    /// posterior for the row, `previous` the posterior it replaces.
+    /// Folds `count` rows that share the vote pattern `votes` into the
+    /// moments: `fresh` is this iteration's E-step posterior for those
+    /// rows, `previous` the posterior it replaces. Every float lands
+    /// through [`StableSum::add_n`], so folding a pattern once with its
+    /// count is bit-identical to folding each of its rows.
     ///
     /// # Panics
     /// Panics if the vote width differs from the accumulator's LF count.
-    pub fn observe_row(&mut self, votes: &[i8], fresh: f64, previous: f64) {
+    pub fn observe_pattern(&mut self, votes: &[i8], count: u64, fresh: f64, previous: f64) {
+        assert_eq!(votes.len(), self.total.len(), "LF count mismatch");
+        let cells = votes.iter().enumerate().filter(|&(_, &v)| v != 0);
+        self.observe_cells(cells.map(|(j, &v)| (j as u32, v)), count, fresh, previous);
+    }
+
+    /// [`EmMoments::observe_pattern`] over a pattern's non-abstain
+    /// `(LF, vote)` cells in column order; abstains fold nothing.
+    fn observe_cells(
+        &mut self,
+        cells: impl IntoIterator<Item = (u32, i8)>,
+        count: u64,
+        fresh: f64,
+        previous: f64,
+    ) {
+        self.n_rows += count;
+        self.delta.add_n((fresh - previous).abs(), count);
+        self.posterior_sum.add_n(fresh, count);
+        for (j, v) in cells {
+            self.total[j as usize] += count;
+            self.agree[j as usize].add_n(if v > 0 { fresh } else { 1.0 - fresh }, count);
+        }
+    }
+
+    /// Folds one row, deposit by deposit: the test oracle of
+    /// [`EmMoments::observe_pattern`].
+    #[cfg(test)]
+    fn observe_row(&mut self, votes: &[i8], fresh: f64, previous: f64) {
         assert_eq!(votes.len(), self.total.len(), "LF count mismatch");
         self.n_rows += 1;
         self.delta.add((fresh - previous).abs());
@@ -187,11 +221,11 @@ impl GenerativeModel {
     /// segment — the out-of-core entry point used by the sharded curation
     /// layer.
     ///
-    /// Each EM iteration makes one fused E+M pass per segment: row
-    /// posteriors are recomputed from the current parameters (row-local,
-    /// so unaffected by partitioning) and folded into [`EmMoments`], whose
-    /// merge is exact. Parameters, iteration count, and convergence are
-    /// therefore **bit-identical for any segmentation** of the same rows —
+    /// The segments' rows fold into one [`VotePatterns`] table, appended
+    /// in segment order, and the fit runs over its patterns
+    /// ([`GenerativeModel::fit_patterns`]), whose moments merge exactly.
+    /// Parameters, iteration count, and convergence are therefore
+    /// **bit-identical for any segmentation** of the same rows —
     /// `fit_segments(&[a, b, c], ..)` equals `fit_with(&concat(a, b, c), ..)`
     /// at every shard size and thread count.
     ///
@@ -227,9 +261,36 @@ impl GenerativeModel {
         let n_lfs = segments.first().map_or(0, |m| m.n_lfs());
         assert!(n_lfs > 0, "cannot fit a generative model with zero LFs");
         assert!(segments.iter().all(|m| m.n_lfs() == n_lfs), "segments disagree on LF count");
+        let mut patterns = VotePatterns::new(segments[0].names().to_vec());
+        for seg in segments {
+            patterns.extend_from_matrix(seg);
+        }
+        Self::fit_patterns(&patterns, config, warm, par)
+    }
+
+    /// Fits the model over a vote-pattern table: the kernel behind every
+    /// fit. Each EM iteration makes one fused E+M pass over the distinct
+    /// patterns. A pattern's posterior depends only on its votes and the
+    /// current parameters, and every row starts at `0.5`, so all rows of a
+    /// pattern carry the same posterior at every iteration; folding the
+    /// pattern once with its row count ([`EmMoments::observe_pattern`])
+    /// deposits exactly what folding each row deposits. Parameters, iteration
+    /// count and posteriors are therefore bit-identical to a row-by-row
+    /// fit, at any thread count.
+    ///
+    /// # Panics
+    /// Panics if the table has no LFs, the accuracy bounds are invalid, or
+    /// the warm start's accuracy count differs from the LF count.
+    pub fn fit_patterns(
+        patterns: &VotePatterns,
+        config: &GenerativeConfig,
+        warm: Option<&WarmStart>,
+        par: &ParConfig,
+    ) -> Self {
+        let n_lfs = patterns.n_lfs();
+        assert!(n_lfs > 0, "cannot fit a generative model with zero LFs");
         let (lo, hi) = config.accuracy_bounds;
         assert!(lo > 0.5 && hi < 1.0 && lo < hi, "invalid accuracy bounds");
-        let total_rows: usize = segments.iter().map(|m| m.n_rows()).sum();
         let mut accuracies = match warm {
             Some(w) => {
                 assert_eq!(w.accuracies.len(), n_lfs, "warm start LF count mismatch");
@@ -243,41 +304,34 @@ impl GenerativeModel {
             .unwrap_or(0.5)
             .clamp(1e-4, 1.0 - 1e-4);
 
-        // Size-only gate on the whole corpus: small fits run the serial
-        // plan, big ones run the caller's plan. Exact accumulation makes
-        // the choice invisible in the output either way.
-        let par = if total_rows * n_lfs < EM_PAR_THRESHOLD {
-            ParConfig::serial().with_min_chunk(EM_MIN_ROWS_PER_CHUNK)
-        } else {
-            par.clone().with_min_chunk(EM_MIN_ROWS_PER_CHUNK)
-        };
-
-        let mut posteriors: Vec<Vec<f64>> =
-            segments.iter().map(|m| vec![0.5f64; m.n_rows()]).collect();
+        let distinct = patterns.distinct();
+        let counts = patterns.counts();
+        let cells = VoteCells::new(distinct);
+        let par = em_plan(distinct, par);
+        let mut posteriors = vec![0.5f64; distinct.n_rows()];
         let mut iterations = 0;
         for iter in 0..config.max_iters {
             iterations = iter + 1;
-            let mut moments = EmMoments::new(n_lfs);
-            for (seg, post) in segments.iter().zip(posteriors.iter_mut()) {
-                // Fused E+M pass: per-chunk fresh posteriors plus moment
-                // partials, merged exactly.
-                let chunks = cm_par::par_map_chunks(&par, seg.n_rows(), |range| {
-                    let mut fresh = Vec::with_capacity(range.len());
-                    let mut part = EmMoments::new(n_lfs);
-                    for r in range {
-                        let q = posterior_for_row(seg.row(r), &accuracies, prior);
-                        part.observe_row(seg.row(r), q, post[r]);
-                        fresh.push(q);
-                    }
-                    (fresh, part)
-                })
-                .unwrap_or_else(|e| e.resume());
-                let mut offset = 0usize;
-                for (fresh, part) in chunks {
-                    post[offset..offset + fresh.len()].copy_from_slice(&fresh);
-                    offset += fresh.len();
-                    moments.merge(&part);
+            let kernel = PosteriorKernel::new(&accuracies, prior);
+            // Fused E+M pass: per-chunk fresh posteriors plus moment
+            // partials, merged exactly.
+            let chunks = cm_par::par_map_chunks(&par, distinct.n_rows(), |range| {
+                let mut fresh = Vec::with_capacity(range.len());
+                let mut part = EmMoments::new(n_lfs);
+                for p in range {
+                    let q = kernel.posterior(cells.of(p));
+                    part.observe_cells(cells.of(p).iter().copied(), counts[p], q, posteriors[p]);
+                    fresh.push(q);
                 }
+                (fresh, part)
+            })
+            .unwrap_or_else(|e| e.resume());
+            let mut moments = EmMoments::new(n_lfs);
+            let mut offset = 0usize;
+            for (fresh, part) in chunks {
+                posteriors[offset..offset + fresh.len()].copy_from_slice(&fresh);
+                offset += fresh.len();
+                moments.merge(&part);
             }
             for (j, acc) in accuracies.iter_mut().enumerate() {
                 if let Some(a) = moments.accuracy(j) {
@@ -334,53 +388,119 @@ impl GenerativeModel {
         self.predict_with(matrix, &ParConfig::from_env())
     }
 
-    /// [`GenerativeModel::predict`] with an explicit parallel configuration.
-    /// Posteriors are row-independent, so any thread count yields the same
-    /// bits; small matrices stay serial.
+    /// [`GenerativeModel::predict`] with an explicit parallel configuration:
+    /// [`GenerativeModel::predict_patterns`] over the matrix's pattern
+    /// table, scattered back to rows.
     ///
     /// # Panics
     /// Panics if the LF count differs from the fitted matrix.
     pub fn predict_with(&self, matrix: &LabelMatrix, par: &ParConfig) -> Vec<f64> {
         assert_eq!(matrix.n_lfs(), self.accuracies.len(), "LF count mismatch");
-        if matrix.n_rows() * matrix.n_lfs() < EM_PAR_THRESHOLD {
-            return (0..matrix.n_rows())
-                .map(|r| posterior_for_row(matrix.row(r), &self.accuracies, self.class_prior))
-                .collect();
-        }
-        cm_par::par_map(&par.clone().with_min_chunk(EM_MIN_ROWS_PER_CHUNK), matrix.n_rows(), |r| {
-            posterior_for_row(matrix.row(r), &self.accuracies, self.class_prior)
+        let patterns = VotePatterns::from_matrix(matrix);
+        patterns.scatter(&self.predict_patterns(&patterns, par))
+    }
+
+    /// Posteriors of the table's distinct patterns, indexed by pattern id.
+    /// Posteriors are pattern-independent, so any thread count yields the
+    /// same bits; small tables stay serial.
+    ///
+    /// # Panics
+    /// Panics if the LF count differs from the fitted matrix.
+    pub fn predict_patterns(&self, patterns: &VotePatterns, par: &ParConfig) -> Vec<f64> {
+        assert_eq!(patterns.n_lfs(), self.accuracies.len(), "LF count mismatch");
+        let kernel = PosteriorKernel::new(&self.accuracies, self.class_prior);
+        let distinct = patterns.distinct();
+        let cells = VoteCells::new(distinct);
+        cm_par::par_map(&em_plan(distinct, par), distinct.n_rows(), |p| {
+            kernel.posterior(cells.of(p))
         })
         .unwrap_or_else(|e| e.resume())
     }
 }
 
-/// `P(y = 1 | votes)` under the independent model.
-fn posterior_for_row(votes: &[i8], accuracies: &[f64], prior: f64) -> f64 {
-    let mut log_pos = prior.ln();
-    let mut log_neg = (1.0 - prior).ln();
-    let mut any = false;
-    for (&v, &a) in votes.iter().zip(accuracies) {
-        match v {
-            1 => {
-                any = true;
-                log_pos += a.ln();
-                log_neg += (1.0 - a).ln();
-            }
-            -1 => {
-                any = true;
-                log_pos += (1.0 - a).ln();
-                log_neg += a.ln();
-            }
-            _ => {}
+/// The chunk plan over the distinct patterns: serial below the size gate,
+/// the caller's plan above it. Exact accumulation makes the choice
+/// invisible in the output either way.
+fn em_plan(distinct: &LabelMatrix, par: &ParConfig) -> ParConfig {
+    let par = if distinct.n_rows() * distinct.n_lfs() < EM_PAR_THRESHOLD {
+        ParConfig::serial()
+    } else {
+        par.clone()
+    };
+    par.with_min_chunk(EM_MIN_PATTERNS_PER_CHUNK)
+}
+
+/// The non-abstain votes of every distinct pattern as `(LF, vote)` cells
+/// in column order — all the independent model reads of a pattern, since
+/// an abstain adds nothing to its posterior or its moments. Built once per
+/// fit or predict, so the per-iteration passes skip the abstains.
+struct VoteCells {
+    starts: Vec<usize>,
+    cells: Vec<(u32, i8)>,
+}
+
+impl VoteCells {
+    fn new(distinct: &LabelMatrix) -> Self {
+        let mut starts = Vec::with_capacity(distinct.n_rows() + 1);
+        let mut cells = Vec::new();
+        starts.push(0);
+        for p in 0..distinct.n_rows() {
+            let row = distinct.row(p).iter().enumerate().filter(|&(_, &v)| v != 0);
+            cells.extend(row.map(|(j, &v)| (j as u32, v)));
+            starts.push(cells.len());
+        }
+        Self { starts, cells }
+    }
+
+    fn of(&self, pattern: usize) -> &[(u32, i8)] {
+        &self.cells[self.starts[pattern]..self.starts[pattern + 1]]
+    }
+}
+
+/// `P(y = 1 | votes)` under the independent model, with each LF's
+/// `ln(a)` and `ln(1 - a)` taken once per parameter set instead of once
+/// per vote. The sums run over the non-abstain votes in column order, so
+/// the posterior bits equal a row-by-row evaluation's.
+struct PosteriorKernel {
+    prior: f64,
+    ln_prior: f64,
+    ln_not_prior: f64,
+    ln_acc: Vec<f64>,
+    ln_err: Vec<f64>,
+}
+
+impl PosteriorKernel {
+    fn new(accuracies: &[f64], prior: f64) -> Self {
+        Self {
+            prior,
+            ln_prior: prior.ln(),
+            ln_not_prior: (1.0 - prior).ln(),
+            ln_acc: accuracies.iter().map(|a| a.ln()).collect(),
+            ln_err: accuracies.iter().map(|a| (1.0 - a).ln()).collect(),
         }
     }
-    if !any {
-        return prior;
+
+    fn posterior(&self, cells: &[(u32, i8)]) -> f64 {
+        if cells.is_empty() {
+            return self.prior;
+        }
+        let mut log_pos = self.ln_prior;
+        let mut log_neg = self.ln_not_prior;
+        for &(j, v) in cells {
+            let (acc, err) = (self.ln_acc[j as usize], self.ln_err[j as usize]);
+            if v > 0 {
+                log_pos += acc;
+                log_neg += err;
+            } else {
+                log_pos += err;
+                log_neg += acc;
+            }
+        }
+        let m = log_pos.max(log_neg);
+        let pos = (log_pos - m).exp();
+        let neg = (log_neg - m).exp();
+        pos / (pos + neg)
     }
-    let m = log_pos.max(log_neg);
-    let pos = (log_pos - m).exp();
-    let neg = (log_neg - m).exp();
-    pos / (pos + neg)
 }
 
 /// Majority-vote baseline: mean of non-abstain votes mapped to `[0, 1]`;
@@ -411,6 +531,110 @@ mod tests {
     use cm_linalg::rng::StdRng;
 
     use super::*;
+
+    /// `P(y = 1 | votes)` for one row, two `ln` calls per vote: the oracle
+    /// of [`PosteriorKernel::posterior`].
+    fn posterior_for_row(votes: &[i8], accuracies: &[f64], prior: f64) -> f64 {
+        let mut log_pos = prior.ln();
+        let mut log_neg = (1.0 - prior).ln();
+        let mut any = false;
+        for (&v, &a) in votes.iter().zip(accuracies) {
+            match v {
+                1 => {
+                    any = true;
+                    log_pos += a.ln();
+                    log_neg += (1.0 - a).ln();
+                }
+                -1 => {
+                    any = true;
+                    log_pos += (1.0 - a).ln();
+                    log_neg += a.ln();
+                }
+                _ => {}
+            }
+        }
+        if !any {
+            return prior;
+        }
+        let m = log_pos.max(log_neg);
+        let pos = (log_pos - m).exp();
+        let neg = (log_neg - m).exp();
+        pos / (pos + neg)
+    }
+
+    /// The row-by-row EM fit (serial): one posterior per row, every row
+    /// folded into the moments on its own.
+    fn fit_rowwise(
+        segments: &[&LabelMatrix],
+        config: &GenerativeConfig,
+        warm: Option<&WarmStart>,
+    ) -> GenerativeModel {
+        let n_lfs = segments[0].n_lfs();
+        let (lo, hi) = config.accuracy_bounds;
+        let mut accuracies: Vec<f64> = match warm {
+            Some(w) => w.accuracies.iter().map(|a| a.clamp(lo, hi)).collect(),
+            None => vec![config.init_accuracy.clamp(lo, hi); n_lfs],
+        };
+        let mut prior = config
+            .class_prior
+            .or(warm.map(|w| w.class_prior))
+            .unwrap_or(0.5)
+            .clamp(1e-4, 1.0 - 1e-4);
+        let mut posteriors: Vec<Vec<f64>> =
+            segments.iter().map(|m| vec![0.5f64; m.n_rows()]).collect();
+        let mut iterations = 0;
+        for iter in 0..config.max_iters {
+            iterations = iter + 1;
+            let mut moments = EmMoments::new(n_lfs);
+            for (seg, post) in segments.iter().zip(posteriors.iter_mut()) {
+                for (r, previous) in post.iter_mut().enumerate() {
+                    let q = posterior_for_row(seg.row(r), &accuracies, prior);
+                    moments.observe_row(seg.row(r), q, *previous);
+                    *previous = q;
+                }
+            }
+            for (j, acc) in accuracies.iter_mut().enumerate() {
+                if let Some(a) = moments.accuracy(j) {
+                    *acc = a.clamp(lo, hi);
+                }
+            }
+            if config.class_prior.is_none() {
+                if let Some(p) = moments.mean_posterior() {
+                    prior = p.clamp(1e-4, 1.0 - 1e-4);
+                }
+            }
+            if moments.mean_delta().unwrap_or(0.0) < config.tol && iter > 0 {
+                break;
+            }
+        }
+        GenerativeModel { accuracies, class_prior: prior, iterations }
+    }
+
+    /// Row-by-row posteriors under a fitted model.
+    fn predict_rowwise(model: &GenerativeModel, matrix: &LabelMatrix) -> Vec<f64> {
+        (0..matrix.n_rows())
+            .map(|r| posterior_for_row(matrix.row(r), model.accuracies(), model.class_prior()))
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Splits `m` into segments ending at `cuts` (and at the last row).
+    fn split_rows(m: &LabelMatrix, cuts: &[usize]) -> Vec<LabelMatrix> {
+        let mut segs = Vec::new();
+        let mut start = 0;
+        for &end in cuts.iter().chain([&m.n_rows()]) {
+            let mut votes = Vec::new();
+            for r in start..end {
+                votes.extend_from_slice(m.row(r));
+            }
+            segs.push(LabelMatrix::from_votes(end - start, m.n_lfs(), votes, m.names().to_vec()));
+            start = end;
+        }
+        segs
+    }
 
     /// Builds a synthetic label matrix: `n` rows with true labels at the
     /// given positive rate, and LFs with the given accuracies/propensities.
@@ -717,5 +941,90 @@ mod tests {
             assert!((0.0..=1.0).contains(&p), "posterior {p} out of range");
             assert!(!p.is_nan());
         }
+    }
+
+    /// The pattern fold's contract: accuracies, prior, iteration count and
+    /// posteriors equal the row-by-row EM bit for bit, cold and warm, at
+    /// segment cuts {1, 97, whole} and threads {1, 2, 4}. Twelve LFs over
+    /// 20k rows give enough distinct patterns to take the parallel path.
+    #[test]
+    fn pattern_fit_matches_rowwise_fit_bitwise() {
+        let specs = [
+            (0.9, 0.5),
+            (0.8, 0.4),
+            (0.7, 0.6),
+            (0.65, 0.3),
+            (0.9, 0.2),
+            (0.6, 0.5),
+            (0.75, 0.35),
+            (0.85, 0.25),
+            (0.7, 0.45),
+            (0.95, 0.1),
+            (0.6, 0.3),
+            (0.8, 0.5),
+        ];
+        let (m, _) = synthetic(20_000, 0.3, &specs, 23);
+        let patterns = VotePatterns::from_matrix(&m);
+        assert!(
+            patterns.n_patterns() * m.n_lfs() >= EM_PAR_THRESHOLD,
+            "{} patterns stay under the parallel gate",
+            patterns.n_patterns()
+        );
+        let warm = WarmStart { accuracies: vec![0.8; m.n_lfs()], class_prior: 0.2 };
+        for (cfg, warm) in [
+            (GenerativeConfig { max_iters: 25, ..Default::default() }, None),
+            (
+                GenerativeConfig { max_iters: 6, class_prior: Some(0.3), ..Default::default() },
+                Some(&warm),
+            ),
+            (GenerativeConfig { max_iters: 6, ..Default::default() }, Some(&warm)),
+        ] {
+            let reference = fit_rowwise(&[&m], &cfg, warm);
+            let reference_probs = bits(&predict_rowwise(&reference, &m));
+            for cuts in [vec![1usize], vec![97], vec![m.n_rows()]] {
+                let segs = split_rows(&m, &cuts);
+                let refs: Vec<&LabelMatrix> = segs.iter().collect();
+                let rowwise_segs = fit_rowwise(&refs, &cfg, warm);
+                assert_eq!(bits(rowwise_segs.accuracies()), bits(reference.accuracies()));
+                for threads in [1usize, 2, 4] {
+                    let par = ParConfig::threads(threads);
+                    let model = GenerativeModel::fit_segments_warm(&refs, &cfg, warm, &par);
+                    let ctx =
+                        format!("cuts = {cuts:?}, threads = {threads}, warm = {}", warm.is_some());
+                    assert_eq!(bits(model.accuracies()), bits(reference.accuracies()), "{ctx}");
+                    assert_eq!(
+                        model.class_prior().to_bits(),
+                        reference.class_prior().to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(model.iterations(), reference.iterations(), "{ctx}");
+                    assert_eq!(bits(&model.predict_with(&m, &par)), reference_probs, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_moments_match_rowwise_moments() {
+        let (m, _) = synthetic(3000, 0.3, &[(0.9, 0.5), (0.7, 0.5), (0.6, 0.5)], 29);
+        let patterns = VotePatterns::from_matrix(&m);
+        let q = |p: usize| 0.1 + 0.8 * (p % 11) as f64 / 11.0;
+        let mut rowwise = EmMoments::new(m.n_lfs());
+        for (r, &id) in patterns.row_ids().iter().enumerate() {
+            rowwise.observe_row(m.row(r), q(id as usize), 0.5);
+        }
+        let mut folded = EmMoments::new(m.n_lfs());
+        for (p, &count) in patterns.counts().iter().enumerate() {
+            folded.observe_pattern(patterns.distinct().row(p), count, q(p), 0.5);
+        }
+        assert_eq!(folded.n_rows(), rowwise.n_rows());
+        for j in 0..m.n_lfs() {
+            assert_eq!(folded.accuracy(j).map(f64::to_bits), rowwise.accuracy(j).map(f64::to_bits));
+        }
+        assert_eq!(
+            folded.mean_posterior().map(f64::to_bits),
+            rowwise.mean_posterior().map(f64::to_bits)
+        );
+        assert_eq!(folded.mean_delta().map(f64::to_bits), rowwise.mean_delta().map(f64::to_bits));
     }
 }

@@ -6,13 +6,16 @@
 //! LF accuracies and emit *probabilistic labels* — the training signal for
 //! the discriminative end model. [`diagnostics`] computes the paper's LF
 //! quality metrics (coverage, precision, recall, conflict) against a
-//! labeled development set.
+//! labeled development set. The models fit and predict over
+//! [`VotePatterns`], the distinct vote rows with their counts, since a
+//! row's posterior depends only on its votes.
 
 pub mod anchored;
 pub mod diagnostics;
 pub mod generative;
 pub mod lf;
 pub mod matrix;
+pub mod patterns;
 
 pub use anchored::{AnchoredModel, LfRates, RateCounts};
 pub use diagnostics::{evaluate_lfs, filter_lfs, LfReport, LfSummary};
@@ -22,3 +25,4 @@ pub use lf::{
     Predicate, ThresholdDirection, Vote,
 };
 pub use matrix::{LabelMatrix, VoteCounts, VoteStats};
+pub use patterns::VotePatterns;

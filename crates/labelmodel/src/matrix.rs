@@ -54,6 +54,18 @@ pub struct VoteCounts {
 }
 
 impl VoteCounts {
+    /// The counts of `n` rows that all carry the votes `row`.
+    pub(crate) fn of_rows(row: &[i8], n: usize) -> VoteCounts {
+        let labeled = row.iter().filter(|&&v| v != 0).count();
+        let conflicted = row.iter().any(|&v| v > 0) && row.iter().any(|&v| v < 0);
+        VoteCounts {
+            covered: n * usize::from(labeled >= 1),
+            overlapped: n * usize::from(labeled >= 2),
+            conflicted: n * usize::from(conflicted),
+            n_rows: n,
+        }
+    }
+
     /// Exact integer merge of two partial counts.
     #[must_use]
     pub fn merge(self, other: VoteCounts) -> VoteCounts {
@@ -161,6 +173,23 @@ impl LabelMatrix {
         Self { n_rows, n_lfs, votes, names }
     }
 
+    /// The encoded votes, row-major.
+    pub(crate) fn votes(&self) -> &[i8] {
+        &self.votes
+    }
+
+    /// The vote buffer and the LF names, taking the matrix apart.
+    pub(crate) fn into_parts(self) -> (Vec<i8>, Vec<String>) {
+        (self.votes, self.names)
+    }
+
+    /// Appends one row of encoded votes.
+    pub(crate) fn push_row(&mut self, row: &[i8]) {
+        debug_assert_eq!(row.len(), self.n_lfs, "LF count mismatch");
+        self.votes.extend_from_slice(row);
+        self.n_rows += 1;
+    }
+
     /// Number of data points.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -226,16 +255,7 @@ impl LabelMatrix {
             return VoteCounts::default();
         }
         let count_rows = |range: std::ops::Range<usize>| {
-            let mut c = VoteCounts { n_rows: range.len(), ..VoteCounts::default() };
-            for r in range {
-                let row = self.row(r);
-                let labeled = row.iter().filter(|&&v| v != 0).count();
-                c.covered += usize::from(labeled >= 1);
-                c.overlapped += usize::from(labeled >= 2);
-                c.conflicted +=
-                    usize::from(row.iter().any(|&v| v > 0) && row.iter().any(|&v| v < 0));
-            }
-            c
+            range.fold(VoteCounts::default(), |c, r| c.merge(VoteCounts::of_rows(self.row(r), 1)))
         };
         let work = self.n_rows.saturating_mul(self.n_lfs.max(1));
         if work < PAR_THRESHOLD {

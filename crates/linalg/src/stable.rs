@@ -33,15 +33,18 @@ const LIMBS: usize = 70;
 /// Bits per limb position step.
 const LIMB_BITS: u32 = 32;
 
-/// Unnormalized deposits allowed before a carry-propagation pass. Each
-/// deposit adds at most `2^85` in magnitude to one limb, so `2^38`
-/// deposits keep every limb below `2^(85 + 38) = 2^123`, and merging two
-/// saturated accumulators stays below `2^124` — comfortably inside
-/// `i128`.
+/// Unnormalized deposits allowed before a carry-propagation pass, counted
+/// in added values (`add_n(x, c)` counts `c`). Each value adds at most
+/// `2^85` in magnitude to one limb, and one `add_n` deposit at most
+/// `2^95`, so below `2^38` pending values every limb stays below
+/// `2^(85 + 38) = 2^123`, the deposit that crosses the mark adds at most
+/// `2^95` before the carry pass, and merging two accumulators stays below
+/// `2^125` — comfortably inside `i128`.
 const MAX_PENDING: u64 = 1 << 38;
 
 /// An exact `f64` accumulator with associative merge. See the module
-/// docs; construct with [`StableSum::new`], feed with [`StableSum::add`],
+/// docs; construct with [`StableSum::new`], feed with [`StableSum::add`] (or
+/// [`StableSum::add_n`] for repeated values),
 /// combine partials with [`StableSum::merge`], and render with
 /// [`StableSum::value`].
 #[derive(Debug, Clone)]
@@ -78,13 +81,57 @@ impl StableSum {
     /// Adds one value. Exact for every finite input; non-finite inputs
     /// switch the accumulator to sticky IEEE semantics.
     pub fn add(&mut self, x: f64) {
+        let Some((neg, mantissa, limb, shift)) = self.split(x) else {
+            return;
+        };
+        let deposit = i128::from(mantissa) << shift;
+        self.limbs[limb] += if neg { -deposit } else { deposit };
+        self.pending += 1;
+        if self.pending >= MAX_PENDING {
+            self.carry_propagate();
+        }
+    }
+
+    /// Adds `count` copies of `x` in one deposit: the limbs receive
+    /// `mantissa * count` exactly, so the total is bit-identical to
+    /// `count` calls of [`StableSum::add`] for any count. A non-finite `x`
+    /// behaves like one `add` (repeating it changes no IEEE sum), and a
+    /// zero count adds nothing.
+    pub fn add_n(&mut self, x: f64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let Some((neg, mantissa, limb, shift)) = self.split(x) else {
+            return;
+        };
+        // mantissa * count < 2^117 splits at bit 64: the low half lands in
+        // `limb` (< 2^95 after the shift), the high half, nonzero only for
+        // counts above 2^11, two limbs up (< 2^84).
+        let product = u128::from(mantissa) * u128::from(count);
+        let low = i128::from(product as u64) << shift;
+        let high = ((product >> 64) as i128) << shift;
+        self.limbs[limb] += if neg { -low } else { low };
+        if high != 0 {
+            self.limbs[limb + 2] += if neg { -high } else { high };
+        }
+        self.pending = self.pending.saturating_add(count);
+        if self.pending >= MAX_PENDING {
+            self.carry_propagate();
+        }
+    }
+
+    /// Splits a finite nonzero `x` into its sign, integer mantissa, limb
+    /// and shift within the limb. A non-finite `x` joins the sticky IEEE
+    /// state instead; it and zero deposit nothing (`None`).
+    #[inline]
+    fn split(&mut self, x: f64) -> Option<(bool, u64, usize, usize)> {
         if !x.is_finite() {
             self.special = if self.has_special { self.special + x } else { x };
             self.has_special = true;
-            return;
+            return None;
         }
         if x == 0.0 {
-            return;
+            return None;
         }
         let bits = x.to_bits();
         let neg = (bits >> 63) != 0;
@@ -93,13 +140,7 @@ impl StableSum {
         // x = mantissa * 2^(position - 1074), position in 0..=2045.
         let (mantissa, position) =
             if biased == 0 { (frac, 0) } else { (frac | (1 << 52), biased as usize - 1) };
-        let (limb, shift) = (position / LIMB_BITS as usize, position % LIMB_BITS as usize);
-        let deposit = (mantissa as i128) << shift;
-        self.limbs[limb] += if neg { -deposit } else { deposit };
-        self.pending += 1;
-        if self.pending >= MAX_PENDING {
-            self.carry_propagate();
-        }
+        Some((neg, mantissa, position / LIMB_BITS as usize, position % LIMB_BITS as usize))
     }
 
     /// Folds another accumulator into this one: exact limb-wise integer
@@ -336,6 +377,143 @@ mod tests {
         let values: Vec<f64> = (1..=1000).map(|i| i as f64 * 0.25).collect();
         let s = StableSum::of(values.iter().copied());
         assert_eq!(s.value(), (1000 * 1001 / 2) as f64 * 0.25);
+    }
+
+    /// Finite values across the whole range: subnormals, negatives,
+    /// around 1, and ±1e300.
+    fn add_n_values() -> Vec<f64> {
+        let mut values = random_values(21, 40);
+        values.extend([
+            f64::from_bits(1),
+            -f64::from_bits(3),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 3.0,
+            1.0,
+            -0.1,
+            1e300,
+            -1e300,
+            f64::MAX,
+        ]);
+        values
+    }
+
+    #[test]
+    fn add_n_matches_repeated_adds() {
+        for x in add_n_values() {
+            for count in [1u64, 2, 97] {
+                let mut folded = StableSum::new();
+                folded.add_n(x, count);
+                let repeated = StableSum::of(std::iter::repeat(x).take(count as usize));
+                assert_eq!(
+                    folded.value().to_bits(),
+                    repeated.value().to_bits(),
+                    "x = {x:e}, count = {count}"
+                );
+                // Mixed into a running sum with other deposits.
+                let mut mixed = StableSum::of([0.75, -3e-5]);
+                mixed.add_n(x, count);
+                mixed.add(1e-300);
+                let mut reference = StableSum::of([0.75, -3e-5]);
+                for _ in 0..count {
+                    reference.add(x);
+                }
+                reference.add(1e-300);
+                assert_eq!(mixed.value().to_bits(), reference.value().to_bits(), "x = {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn add_n_by_a_power_of_two_is_exact_scaling() {
+        // 2^31 repeated adds are too many to run; scaling by a power of two
+        // is exact in f64 (overflowing to ±∞ exactly where the sum does).
+        let count = 1u64 << 31;
+        for x in add_n_values() {
+            let mut folded = StableSum::new();
+            folded.add_n(x, count);
+            assert_eq!(folded.value().to_bits(), (x * 2f64.powi(31)).to_bits(), "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn add_n_crosses_the_carry_boundary_exactly() {
+        // Counts that push `pending` past MAX_PENDING, alone and summed
+        // over several deposits, with totals that f64 represents exactly.
+        let mut s = StableSum::new();
+        s.add_n(1.5, MAX_PENDING - 1);
+        assert_eq!(s.pending, MAX_PENDING - 1);
+        s.add_n(1.5, 2);
+        assert_eq!(s.pending, 0, "crossing the mark runs a carry pass");
+        s.add_n(-0.25, 3 * MAX_PENDING);
+        s.add_n(1.0, u64::MAX);
+        s.add(2.0);
+        // u64::MAX is not an f64; the exact total renders from parts.
+        let exact = StableSum::of([
+            1.5 * (MAX_PENDING + 1) as f64,
+            -0.25 * (3 * MAX_PENDING) as f64,
+            2f64.powi(64),
+            -1.0,
+            2.0,
+        ]);
+        assert_eq!(s.value().to_bits(), exact.value().to_bits());
+        // Mantissas at both ends of the range under a huge count.
+        let mut wide = StableSum::new();
+        wide.add_n(f64::from_bits(1), u64::MAX);
+        wide.add_n(-f64::from_bits(1), u64::MAX - 1);
+        assert_eq!(wide.value(), f64::from_bits(1));
+        let mut big = StableSum::new();
+        big.add_n(f64::MAX, u64::MAX);
+        assert_eq!(big.value(), f64::INFINITY);
+        big.add_n(-f64::MAX, u64::MAX);
+        assert_eq!(big.value(), 0.0);
+        // Merging two accumulators just below the mark stays exact.
+        let mut a = StableSum::new();
+        a.add_n(3.0, MAX_PENDING - 1);
+        let mut b = StableSum::new();
+        b.add_n(-1.0, MAX_PENDING - 1);
+        a.merge(&b);
+        assert_eq!(a.value(), 2.0 * (MAX_PENDING - 1) as f64);
+    }
+
+    #[test]
+    fn add_n_of_non_finite_values_is_sticky_like_add() {
+        for count in [1u64, 2, 97, 1 << 31] {
+            for (first, x) in [
+                (1.0, f64::INFINITY),
+                (1.0, f64::NEG_INFINITY),
+                (1.0, f64::NAN),
+                (f64::INFINITY, f64::NEG_INFINITY),
+                (f64::NEG_INFINITY, f64::NEG_INFINITY),
+            ] {
+                let mut folded = StableSum::of([first]);
+                folded.add_n(x, count);
+                // Past the first copy, repeating a non-finite value changes
+                // no IEEE sum, so 2^31 adds render like 97.
+                let mut repeated = StableSum::of([first]);
+                for _ in 0..count.min(97) {
+                    repeated.add(x);
+                }
+                let (folded, repeated) = (folded.value(), repeated.value());
+                let ctx = format!("first = {first}, x = {x}, count = {count}");
+                // NaN payload bits are not specified; NaN-ness is.
+                if repeated.is_nan() {
+                    assert!(folded.is_nan(), "{ctx}");
+                } else {
+                    assert_eq!(folded.to_bits(), repeated.to_bits(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_n_with_zero_count_is_a_no_op() {
+        for x in add_n_values().into_iter().chain([f64::INFINITY, f64::NAN]) {
+            let mut s = StableSum::of([2.5]);
+            s.add_n(x, 0);
+            assert_eq!(s.value(), 2.5, "x = {x}");
+            assert_eq!(s.pending, 1);
+            assert!(!s.has_special);
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! - This module owns the *curation state machine*: LFs are mined once on
 //!   the labeled text corpus, each arrival batch's votes append to the
-//!   accumulated label matrix, the EM label model refits warm-started
-//!   from the previous fit ([`cm_labelmodel::WarmStart`]), and the
+//!   pool's vote-pattern table ([`cm_labelmodel::VotePatterns`]), the EM
+//!   label model refits warm-started from the previous fit
+//!   ([`cm_labelmodel::WarmStart`]) over the distinct patterns, and the
 //!   propagation graph grows by online anchor insertion
 //!   ([`cm_propagation::OnlineGraph`]) instead of full rebuilds.
 //! - `cm-serve` owns the *robustness envelope*: admission control,
@@ -31,14 +32,21 @@
 //! corpus only (the pool isn't known upfront), and the label model is
 //! always the warm-startable EM model rather than the dev-anchored one.
 
+use std::borrow::Cow;
+
 use cm_featurespace::{FeatureTable, FrozenTable, SimilarityConfig};
-use cm_labelmodel::{GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, WarmStart};
+use cm_labelmodel::{
+    GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns, WarmStart,
+};
 use cm_mining::mine_lfs;
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
 use cm_propagation::{propagate, OnlineGraph, OnlineGraphDelta, OnlineGraphState};
 
 use crate::curation::{lf_columns, sim_columns, CurationConfig, PropSetup};
+
+/// Name of the propagation LF's column, last in the label matrix.
+const PROPAGATION_LF: &str = "label_propagation";
 
 /// Configuration of the incremental curator.
 #[derive(Debug, Clone)]
@@ -185,8 +193,9 @@ pub struct IncrementalCurator {
     prior: f64,
     prop: Option<PropScaffold>,
     pool: ModalityDataset,
-    /// Base-LF votes over the pool, row-major `n_rows x n_base_lfs`.
-    base_votes: Vec<i8>,
+    /// Base-LF votes over the pool, held as their pattern table (grown
+    /// O(batch) per ingest); row `r`'s votes are `base_patterns.row(r)`.
+    base_patterns: VotePatterns,
     warm: Option<WarmStart>,
     em_iterations: usize,
     posteriors: Vec<f64>,
@@ -213,7 +222,8 @@ impl IncrementalCurator {
             config.curation.max_negative_lfs,
         );
         let lfs = mined.lfs;
-        let mut lf_names: Vec<String> = lfs.iter().map(|l| l.name().to_owned()).collect();
+        let base_patterns = VotePatterns::new(lfs.iter().map(|l| l.name().to_owned()).collect());
+        let mut lf_names = base_patterns.distinct().names().to_vec();
         let prior = text.positive_rate().clamp(1e-4, 0.5);
 
         // An empty seed set can't propagate; fall back to base LFs only.
@@ -230,7 +240,7 @@ impl IncrementalCurator {
                 PropScaffold { setup, sim, online }
             });
         if prop.is_some() {
-            lf_names.push("label_propagation".to_owned());
+            lf_names.push(PROPAGATION_LF.to_owned());
         }
 
         let pool = ModalityDataset {
@@ -246,7 +256,7 @@ impl IncrementalCurator {
             prior,
             prop,
             pool,
-            base_votes: Vec::new(),
+            base_patterns,
             warm: None,
             em_iterations: 0,
             posteriors: Vec::new(),
@@ -332,16 +342,17 @@ impl IncrementalCurator {
         self.pool.table.extend_from(&batch.table);
         self.pool.labels.extend_from_slice(&batch.labels);
         self.pool.borderline.extend_from_slice(&batch.borderline);
-        let batch_matrix = LabelMatrix::apply_with(&batch.table, &self.lfs, par);
-        for r in 0..batch_rows {
-            self.base_votes.extend_from_slice(batch_matrix.row(r));
-        }
+        self.base_patterns.extend_from_matrix(&LabelMatrix::apply_with(
+            &batch.table,
+            &self.lfs,
+            par,
+        ));
         if let Some(p) = &mut self.prop {
             p.setup.corpus.extend_from(&batch.table);
             p.online.insert_rows(&FrozenTable::freeze(&p.setup.corpus), &p.sim);
         }
 
-        let matrix = self.assemble_matrix();
+        let patterns = label_patterns(&self.base_patterns, self.prop.as_ref(), &self.config);
         let gen_cfg = GenerativeConfig {
             class_prior: Some(self.prior),
             max_iters: if self.warm.is_some() {
@@ -351,24 +362,27 @@ impl IncrementalCurator {
             },
             ..self.config.curation.generative.clone()
         };
-        let model =
-            GenerativeModel::fit_segments_warm(&[&matrix], &gen_cfg, self.warm.as_ref(), par);
+        let model = GenerativeModel::fit_patterns(&patterns, &gen_cfg, self.warm.as_ref(), par);
+        (self.posteriors, self.covered) = pool_outputs(&model, &patterns, par);
         self.warm = Some(model.warm_start());
         self.em_iterations = model.iterations();
-        self.refresh_outputs(&model, &matrix, par);
         self.n_batches += 1;
 
         let n = self.pool.len();
         let start = n - batch_rows;
-        let covered_in_batch = self.covered[start..].iter().filter(|&&c| c).count();
+        // Abstains over the batch's label-matrix cells, counted per pattern.
+        let pattern_abstains: Vec<usize> = (0..patterns.n_patterns())
+            .map(|p| patterns.distinct().row(p).iter().filter(|&&v| v == 0).count())
+            .collect();
         let abstains: usize =
-            (start..n).map(|r| matrix.row(r).iter().filter(|&&v| v == 0).count()).sum();
+            patterns.row_ids()[start..].iter().map(|&id| pattern_abstains[id as usize]).sum();
+        let covered_in_batch = self.covered[start..].iter().filter(|&&c| c).count();
         BatchStats {
             batch_index: self.n_batches - 1,
             rows: batch_rows,
             total_rows: n,
             coverage: covered_in_batch as f64 / batch_rows.max(1) as f64,
-            abstain_rate: abstains as f64 / (batch_rows * matrix.n_lfs()).max(1) as f64,
+            abstain_rate: abstains as f64 / (batch_rows * patterns.n_lfs()).max(1) as f64,
             mean_entropy: mean_entropy(&self.posteriors[start..]),
             em_iterations: self.em_iterations,
         }
@@ -382,7 +396,7 @@ impl IncrementalCurator {
         IncrementalState {
             n_batches: self.n_batches,
             pool: self.pool.clone(),
-            votes: self.base_votes.clone(),
+            votes: self.base_patterns.row_votes(0..self.pool.len()),
             em_warm: self.warm.clone(),
             em_iterations: self.em_iterations,
             graph: self.prop.as_mut().map(|p| {
@@ -398,7 +412,7 @@ impl IncrementalCurator {
     pub fn export_delta(&mut self) -> IncrementalDelta {
         let idx: Vec<usize> = (self.mark_rows..self.pool.len()).collect();
         let new_rows = self.pool.gather(&idx);
-        let new_votes = self.base_votes[self.mark_rows * self.lfs.len()..].to_vec();
+        let new_votes = self.base_patterns.row_votes(self.mark_rows..self.pool.len());
         self.mark_rows = self.pool.len();
         IncrementalDelta {
             n_batches: self.n_batches,
@@ -439,8 +453,15 @@ impl IncrementalCurator {
             state.pool.len() * c.lfs.len(),
             "checkpointed votes do not cover the pool: expected one per row and mined LF"
         );
+        let n_base = c.lfs.len();
+        let names = c.base_patterns.distinct().names().to_vec();
+        c.base_patterns = VotePatterns::from_owned_matrix(LabelMatrix::from_votes(
+            state.pool.len(),
+            n_base,
+            state.votes,
+            names,
+        ));
         c.pool = state.pool;
-        c.base_votes = state.votes;
         c.n_batches = state.n_batches;
         c.mark_rows = c.pool.len();
         c.warm = state.em_warm;
@@ -450,9 +471,8 @@ impl IncrementalCurator {
             p.online = OnlineGraph::from_snapshot(c.config.curation.prop_k, g);
         }
         if c.warm.is_some() {
-            let matrix = c.assemble_matrix();
-            let model = c.current_model();
-            c.refresh_outputs(&model, &matrix, par);
+            let patterns = label_patterns(&c.base_patterns, c.prop.as_ref(), &c.config);
+            (c.posteriors, c.covered) = pool_outputs(&c.current_model(), &patterns, par);
         }
         c
     }
@@ -466,36 +486,36 @@ impl IncrementalCurator {
         let warm = self.warm.as_ref().expect("no model fitted yet");
         GenerativeModel::from_params(warm.accuracies.clone(), warm.class_prior, self.em_iterations)
     }
+}
 
-    /// The full pool label matrix: accumulated base votes plus, when
-    /// propagation is on, a freshly propagated-and-tuned column (all
-    /// abstain when tuning clears no threshold).
-    fn assemble_matrix(&self) -> LabelMatrix {
-        let n = self.pool.len();
-        let n_base = self.lfs.len();
-        let Some(p) = &self.prop else {
-            return LabelMatrix::from_votes(
-                n,
-                n_base,
-                self.base_votes.clone(),
-                self.lf_names.clone(),
-            );
-        };
-        let scores = propagate(&p.online.graph(), &p.setup.seeds, &p.setup.cfg);
-        let pool_lf = p.setup.lf_from_scores(&scores, &self.config.curation).map(|(lf, _)| lf);
-        let mut votes = Vec::with_capacity(n * (n_base + 1));
-        for r in 0..n {
-            votes.extend_from_slice(&self.base_votes[r * n_base..(r + 1) * n_base]);
-            votes.push(pool_lf.as_ref().map_or(0, |lf| lf.vote_row(r).as_i8()));
-        }
-        LabelMatrix::from_votes(n, n_base + 1, votes, self.lf_names.clone())
-    }
+/// The pool's vote-pattern table over every label-matrix column: the base
+/// patterns, plus, when propagation is on, a freshly propagated-and-tuned
+/// column (all abstain when tuning clears no threshold), keyed by (base
+/// pattern id, propagation vote).
+fn label_patterns<'a>(
+    base: &'a VotePatterns,
+    prop: Option<&PropScaffold>,
+    config: &IncrementalConfig,
+) -> Cow<'a, VotePatterns> {
+    let Some(p) = prop else {
+        return Cow::Borrowed(base);
+    };
+    let scores = propagate(&p.online.graph(), &p.setup.seeds, &p.setup.cfg);
+    let pool_lf = p.setup.lf_from_scores(&scores, &config.curation).map(|(lf, _)| lf);
+    let column: Vec<i8> = (0..base.n_rows())
+        .map(|r| pool_lf.as_ref().map_or(0, |lf| lf.vote_row(r).as_i8()))
+        .collect();
+    Cow::Owned(base.with_column(PROPAGATION_LF.to_owned(), &column))
+}
 
-    fn refresh_outputs(&mut self, model: &GenerativeModel, matrix: &LabelMatrix, par: &ParConfig) {
-        self.posteriors = model.predict_with(matrix, par);
-        self.covered =
-            (0..matrix.n_rows()).map(|r| matrix.row(r).iter().any(|&v| v != 0)).collect();
-    }
+/// Pool posteriors and coverage flags: each distinct pattern is scored
+/// once and scattered to its rows.
+fn pool_outputs(
+    model: &GenerativeModel,
+    patterns: &VotePatterns,
+    par: &ParConfig,
+) -> (Vec<f64>, Vec<bool>) {
+    (patterns.scatter(&model.predict_patterns(patterns, par)), patterns.covered())
 }
 
 /// Mean binary entropy (nats) of a posterior slice; `0.0` when empty.
@@ -552,6 +572,168 @@ mod tests {
             start = end;
         }
         out
+    }
+
+    /// `P(y = 1 | votes)` of one row under the EM label model, with its
+    /// log terms summed in column order.
+    fn posterior_rowwise(votes: &[i8], accuracies: &[f64], prior: f64) -> f64 {
+        let mut log_pos = prior.ln();
+        let mut log_neg = (1.0 - prior).ln();
+        let mut any = false;
+        for (&v, &a) in votes.iter().zip(accuracies) {
+            if v != 0 {
+                any = true;
+                let (agree, disagree) = (a.ln(), (1.0 - a).ln());
+                let (p, n) = if v > 0 { (agree, disagree) } else { (disagree, agree) };
+                log_pos += p;
+                log_neg += n;
+            }
+        }
+        if !any {
+            return prior;
+        }
+        let m = log_pos.max(log_neg);
+        let (pos, neg) = ((log_pos - m).exp(), (log_neg - m).exp());
+        pos / (pos + neg)
+    }
+
+    /// The row-by-row EM refit (fixed prior, optional warm start): every
+    /// row keeps its own posterior and folds into the moments on its own.
+    fn em_rowwise(
+        matrix: &LabelMatrix,
+        cfg: &GenerativeConfig,
+        warm: Option<&WarmStart>,
+    ) -> (Vec<f64>, usize) {
+        let (lo, hi) = cfg.accuracy_bounds;
+        let mut accuracies: Vec<f64> = match warm {
+            Some(w) => w.accuracies.iter().map(|a| a.clamp(lo, hi)).collect(),
+            None => vec![cfg.init_accuracy.clamp(lo, hi); matrix.n_lfs()],
+        };
+        // The serving loop always pins the prior.
+        let prior = cfg.class_prior.unwrap_or(0.5).clamp(1e-4, 1.0 - 1e-4);
+        let mut posteriors = vec![0.5f64; matrix.n_rows()];
+        let mut iterations = 0;
+        for iter in 0..cfg.max_iters {
+            iterations = iter + 1;
+            let mut moments = cm_labelmodel::EmMoments::new(matrix.n_lfs());
+            for (r, previous) in posteriors.iter_mut().enumerate() {
+                let q = posterior_rowwise(matrix.row(r), &accuracies, prior);
+                moments.observe_pattern(matrix.row(r), 1, q, *previous);
+                *previous = q;
+            }
+            for (j, acc) in accuracies.iter_mut().enumerate() {
+                if let Some(a) = moments.accuracy(j) {
+                    *acc = a.clamp(lo, hi);
+                }
+            }
+            if moments.mean_delta().unwrap_or(0.0) < cfg.tol && iter > 0 {
+                break;
+            }
+        }
+        (accuracies, iterations)
+    }
+
+    /// A row-wise shadow of the curator: base votes in a flat buffer, the
+    /// full label matrix assembled every tick with the propagation column
+    /// (over the curator's own graph, which this change leaves alone), and
+    /// the row-by-row EM and predict.
+    struct RowwiseReference {
+        base_votes: Vec<i8>,
+        warm: Option<WarmStart>,
+        n_batches: usize,
+    }
+
+    impl RowwiseReference {
+        fn ingest(
+            &mut self,
+            cur: &IncrementalCurator,
+            batch: &ModalityDataset,
+            par: &ParConfig,
+        ) -> (Vec<f64>, Vec<bool>, BatchStats) {
+            let batch_matrix = LabelMatrix::apply_with(&batch.table, &cur.lfs, par);
+            for r in 0..batch_matrix.n_rows() {
+                self.base_votes.extend_from_slice(batch_matrix.row(r));
+            }
+            let n = cur.pool.len();
+            let n_base = cur.lfs.len();
+            let matrix = match &cur.prop {
+                None => LabelMatrix::from_votes(
+                    n,
+                    n_base,
+                    self.base_votes.clone(),
+                    cur.lf_names.clone(),
+                ),
+                Some(p) => {
+                    let scores = propagate(&p.online.graph(), &p.setup.seeds, &p.setup.cfg);
+                    let pool_lf =
+                        p.setup.lf_from_scores(&scores, &cur.config.curation).map(|(lf, _)| lf);
+                    let mut votes = Vec::with_capacity(n * (n_base + 1));
+                    for r in 0..n {
+                        votes.extend_from_slice(&self.base_votes[r * n_base..(r + 1) * n_base]);
+                        votes.push(pool_lf.as_ref().map_or(0, |lf| lf.vote_row(r).as_i8()));
+                    }
+                    LabelMatrix::from_votes(n, n_base + 1, votes, cur.lf_names.clone())
+                }
+            };
+            let cfg = GenerativeConfig {
+                class_prior: Some(cur.prior),
+                max_iters: if self.warm.is_some() {
+                    cur.config.refit_max_iters
+                } else {
+                    cur.config.curation.generative.max_iters
+                },
+                ..cur.config.curation.generative.clone()
+            };
+            let (accuracies, iterations) = em_rowwise(&matrix, &cfg, self.warm.as_ref());
+            let posteriors: Vec<f64> =
+                (0..n).map(|r| posterior_rowwise(matrix.row(r), &accuracies, cur.prior)).collect();
+            let covered: Vec<bool> =
+                (0..n).map(|r| matrix.row(r).iter().any(|&v| v != 0)).collect();
+            self.warm = Some(WarmStart { accuracies, class_prior: cur.prior });
+            self.n_batches += 1;
+            let start = n - batch.len();
+            let abstains: usize =
+                (start..n).map(|r| matrix.row(r).iter().filter(|&&v| v == 0).count()).sum();
+            let stats = BatchStats {
+                batch_index: self.n_batches - 1,
+                rows: batch.len(),
+                total_rows: n,
+                coverage: covered[start..].iter().filter(|&&c| c).count() as f64
+                    / batch.len().max(1) as f64,
+                abstain_rate: abstains as f64 / (batch.len() * matrix.n_lfs()).max(1) as f64,
+                mean_entropy: mean_entropy(&posteriors[start..]),
+                em_iterations: iterations,
+            };
+            (posteriors, covered, stats)
+        }
+    }
+
+    /// The pattern-folded curator equals the row-wise reference after
+    /// every tick, bit for bit, with propagation on and off.
+    #[test]
+    fn pattern_folded_ticks_match_rowwise_reference_bitwise() {
+        let (world, text, pool) = fixture();
+        let par = ParConfig::threads(2);
+        let mut no_prop = fast_config();
+        no_prop.curation.use_label_propagation = false;
+        for config in [fast_config(), no_prop] {
+            let propagation = config.curation.use_label_propagation;
+            let mut cur = IncrementalCurator::new(&world, &text, config);
+            assert_eq!(cur.prop.is_some(), propagation);
+            let mut reference =
+                RowwiseReference { base_votes: Vec::new(), warm: None, n_batches: 0 };
+            for (tick, b) in batches(&pool, 60).iter().enumerate() {
+                let stats = cur.ingest_batch(b, &par);
+                let (posteriors, covered, expected) = reference.ingest(&cur, b, &par);
+                let ctx = format!("propagation = {propagation}, tick = {tick}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(cur.posteriors()), bits(&posteriors), "{ctx}");
+                assert_eq!(cur.covered(), &covered[..], "{ctx}");
+                assert_eq!(stats, expected, "{ctx}");
+                assert_eq!(stats.mean_entropy.to_bits(), expected.mean_entropy.to_bits(), "{ctx}");
+                assert_eq!(cur.warm, reference.warm, "{ctx}");
+            }
+        }
     }
 
     #[test]

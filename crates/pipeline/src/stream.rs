@@ -16,7 +16,10 @@
 //! per-row, so segment appends in offset order equal one whole-pool
 //! apply; the label model is fitted on the dev corpus (anchored) or on
 //! exact mergeable moments (EM); and the propagation graph's two sources
-//! (see `propagation_lf`) build the same edges bit for bit.
+//! (see `propagation_lf`) build the same edges bit for bit. After the
+//! sweep the pool matrix becomes its vote-pattern table
+//! ([`VotePatterns`]), and the telemetry scans and the label model run
+//! once per distinct pattern, bit-identical to the row scans.
 
 use std::time::Duration;
 
@@ -24,7 +27,7 @@ use cm_faults::{FaultSummary, Stopwatch};
 use cm_featurespace::{CmResult, FrozenTable, Label, ModalityKind, SimilarityConfig};
 use cm_labelmodel::{
     majority_vote, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel, LabelMatrix,
-    LabelingFunction, LfRates,
+    LabelingFunction, LfRates, VotePatterns, VoteStats,
 };
 use cm_mining::{lfs_from_itemsets, mine_from_bitsets, ItemCatalogBuilder};
 use cm_orgsim::{ModalityDataset, TaskConfig, World, WorldConfig};
@@ -239,16 +242,27 @@ fn curate_pool(
         (p.dev_votes, p.rates)
     });
 
+    // From here on the pool is read through its vote-pattern table: the
+    // telemetry scans and the label model run once per distinct pattern
+    // and scatter back to rows. The table is built in the matrix's buffer,
+    // which then shrinks to the distinct rows; it is charged whole while
+    // the full matrix is still charged, which covers the id column and
+    // index held next to the matrix during the build.
+    let matrix_bytes = pool_matrix.capacity_bytes();
+    let mut patterns = VotePatterns::from_owned_matrix(pool_matrix);
+    tracker.charge(patterns.heap_bytes(), "pool vote patterns")?;
+    tracker.release(matrix_bytes);
+
     // Abstain-rate telemetry: dev rates over the evidence the LF weights
     // are estimated on (whole corpus for base LFs, the propagation dev
     // slice for the propagation LF), pool rates over the pool votes.
     let n_lfs = lf_names.len();
-    let mut dev_abstain = abstain_rates(&dev_matrix);
+    let mut dev_abstain = VotePatterns::from_matrix(&dev_matrix).abstain_rates();
     if let Some((votes, _)) = &prop {
         dev_abstain
             .push(votes.iter().filter(|&&v| v == 0).count() as f64 / votes.len().max(1) as f64);
     }
-    let pool_abstain = abstain_rates(&pool_matrix);
+    let pool_abstain = patterns.abstain_rates();
 
     // Graceful degradation: a column that abstains on every dev row has no
     // rate evidence and is dropped in any run. A column that abstains on
@@ -267,25 +281,23 @@ fn curate_pool(
         .filter(|&c| dev_abstain[c] >= 1.0 || (fault_aware && pool_abstain[c] >= 1.0))
         .collect();
     let dropped_lfs: Vec<String> = dropped_idx.iter().map(|&c| lf_names[c].clone()).collect();
-    let active_matrix = if dropped_idx.is_empty() {
-        pool_matrix
-    } else {
-        // The full matrix stays held (and charged) next to its copy.
-        let reduced = pool_matrix.without_columns(&dropped_idx);
-        tracker.charge(reduced.capacity_bytes(), "column-dropped pool vote matrix")?;
-        reduced
-    };
+    if !dropped_idx.is_empty() {
+        // The full table stays held (and charged) until its copy exists.
+        let reduced = patterns.without_columns(&dropped_idx);
+        tracker.charge(reduced.heap_bytes(), "column-dropped pool vote patterns")?;
+        tracker.release(patterns.heap_bytes());
+        patterns = reduced;
+    }
 
     // Coverage is invariant to dropping all-abstain columns, so clean runs
     // see exactly the pre-degradation semantics.
-    let covered: Vec<bool> =
-        (0..n_rows).map(|r| active_matrix.row(r).iter().any(|&v| v != 0)).collect();
+    let covered = patterns.covered();
     tracker.charge(n_rows * size_of::<bool>(), "coverage flags")?;
 
-    let probabilistic_labels = if active_matrix.n_lfs() == 0 {
+    let probabilistic_labels = if patterns.n_lfs() == 0 {
         vec![prior; n_rows]
     } else {
-        match config.label_model {
+        let per_pattern = match config.label_model {
             LabelModelKind::Anchored => {
                 let mut rates =
                     AnchoredModel::fit(&dev_matrix, &text.labels, Some(prior)).rates().to_vec();
@@ -298,16 +310,17 @@ fn curate_pool(
                     .filter(|&(c, _)| !dropped_idx.contains(&c))
                     .map(|(_, r)| r)
                     .collect();
-                AnchoredModel::from_rates(rates, prior).predict(&active_matrix)
+                AnchoredModel::from_rates(rates, prior).predict_patterns(&patterns)
             }
             LabelModelKind::Em => {
                 let gen_cfg =
                     GenerativeConfig { class_prior: Some(prior), ..config.generative.clone() };
-                GenerativeModel::fit_with(&active_matrix, &gen_cfg, par)
-                    .predict_with(&active_matrix, par)
+                GenerativeModel::fit_patterns(&patterns, &gen_cfg, None, par)
+                    .predict_patterns(&patterns, par)
             }
-            LabelModelKind::MajorityVote => majority_vote(&active_matrix),
-        }
+            LabelModelKind::MajorityVote => majority_vote(patterns.distinct()),
+        };
+        patterns.scatter(&per_pattern)
     };
     tracker.charge(n_rows * size_of::<f64>(), "posteriors")?;
 
@@ -340,18 +353,10 @@ fn curate_pool(
         ws_quality,
         mining_time,
         propagation_time,
-        conflict: active_matrix.conflict(),
+        conflict: VoteStats::from_counts(patterns.vote_counts()).conflict,
         degradation,
     };
     Ok((output, segments))
-}
-
-/// The share of abstain votes in each column of `matrix`.
-fn abstain_rates(matrix: &LabelMatrix) -> Vec<f64> {
-    let n = matrix.n_rows();
-    (0..matrix.n_lfs())
-        .map(|c| (0..n).filter(|&r| matrix.row(r)[c] == 0).count() as f64 / n.max(1) as f64)
-        .collect()
 }
 
 /// Mines the LF suite (§4.3) on the resident text corpus: one item

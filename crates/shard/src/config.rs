@@ -127,8 +127,10 @@ impl ShardConfig {
 /// while it is processed, the mining item bitsets, the propagation corpus,
 /// the sharded k-NN builder's top-k lists, anchor table, routes, members
 /// and candidate lists, the propagation graph, the propagated scores, the
-/// propagation LF's copy of the pool scores, the pool vote matrix (and its
-/// copy when degraded LFs are dropped), the pool ground truth, the
+/// propagation LF's copy of the pool scores, the pool vote matrix, the
+/// pool vote-pattern table that replaces it after the sweep (its row →
+/// pattern-id column, distinct rows with their counts, and hash index;
+/// and its copy when degraded LFs are dropped), the pool ground truth, the
 /// coverage flags and the posteriors. A charge that would push the
 /// resident total past the budget fails instead of silently exceeding it,
 /// so a successful run **proves** `peak <= budget` for those holdings.

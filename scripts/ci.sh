@@ -103,13 +103,15 @@ echo "==> benchmark smoke: perfbench builds against the workspace and runs"
 # tiny size, so an API change that breaks it fails here, not at bench time.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> benchmark gates: pinned digests, sharded = resident, replay = curate"
-# One traced one-second run of each pool workload. A run exits non-zero
-# when an output digest leaves perfbench/pins.txt, when curate_streamed's
-# labels differ from curate's, or when the layer-by-layer replay differs
-# from curate, so these gates hold on every CI pass, not only at bench time.
+echo "==> benchmark gates: pinned digests, sharded = resident, replay = curate, resume = live"
+# One traced one-second run of each workload. A run exits non-zero when an
+# output digest leaves perfbench/pins.txt, when curate_streamed's labels
+# differ from curate's, when the layer-by-layer replay differs from
+# curate, or when a serve resume differs from the live run, so these gates
+# hold on every CI pass, not only at bench time.
 bash perfbench/run.sh --workload pool-anchored --seed 0 --seconds 1 --trace 1
 bash perfbench/run.sh --workload pool-propagation --seed 0 --seconds 1 --trace 1
+bash perfbench/run.sh --workload serve-ticks --seed 0 --seconds 1 --trace 1
 
 echo "==> bench smoke: serve group"
 # One end-to-end service run (compile + run guard; the committed
