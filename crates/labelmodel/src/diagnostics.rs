@@ -4,7 +4,7 @@
 //! the development set for LFs that, thanks to the common feature space,
 //! apply unchanged to the new modality.
 
-use cm_featurespace::{FeatureTable, Label};
+use cm_featurespace::{FeatureTable, FrozenTable, Label};
 
 use crate::lf::{LabelingFunction, Vote};
 
@@ -54,6 +54,7 @@ pub fn evaluate_lfs(
     assert_eq!(dev.len(), labels.len(), "dev set size mismatch");
     let n = dev.len();
     let total_pos = labels.iter().filter(|l| l.is_positive()).count();
+    let frozen = FrozenTable::freeze(dev);
 
     let mut reports = Vec::with_capacity(lfs.len());
     let mut any_vote = vec![false; n];
@@ -66,7 +67,7 @@ pub fn evaluate_lfs(
         let mut pos_votes = 0usize;
         let mut neg_votes = 0usize;
         for (r, label) in labels.iter().enumerate() {
-            match lf.vote(dev, r) {
+            match lf.vote_frozen(&frozen, r) {
                 Vote::Abstain => {}
                 v => {
                     covered += 1;

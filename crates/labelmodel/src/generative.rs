@@ -203,69 +203,19 @@ impl GenerativeModel {
         Self::fit_with(matrix, config, &ParConfig::from_env())
     }
 
-    /// [`GenerativeModel::fit`] with an explicit parallel configuration.
+    /// [`GenerativeModel::fit`] with an explicit parallel configuration:
+    /// the matrix folds into its [`VotePatterns`] table and the fit runs
+    /// over the patterns ([`GenerativeModel::fit_patterns`]).
     ///
     /// Produces bit-identical parameters and posteriors for any thread
     /// count: every float reduction lives in an exact [`StableSum`]
     /// superaccumulator (via [`EmMoments`]), so neither the chunk plan nor
-    /// the worker count can perturb a single bit. The resident fit is the
-    /// single-segment case of [`GenerativeModel::fit_segments`].
+    /// the worker count can perturb a single bit.
     ///
     /// # Panics
     /// Panics if the matrix has no LFs.
     pub fn fit_with(matrix: &LabelMatrix, config: &GenerativeConfig, par: &ParConfig) -> Self {
-        Self::fit_segments(&[matrix], config, par)
-    }
-
-    /// Fits the model on a row-partitioned label matrix, segment by
-    /// segment — the out-of-core entry point used by the sharded curation
-    /// layer.
-    ///
-    /// The segments' rows fold into one [`VotePatterns`] table, appended
-    /// in segment order, and the fit runs over its patterns
-    /// ([`GenerativeModel::fit_patterns`]), whose moments merge exactly.
-    /// Parameters, iteration count, and convergence are therefore
-    /// **bit-identical for any segmentation** of the same rows —
-    /// `fit_segments(&[a, b, c], ..)` equals `fit_with(&concat(a, b, c), ..)`
-    /// at every shard size and thread count.
-    ///
-    /// # Panics
-    /// Panics if there are no LFs or the segments disagree on LF count.
-    pub fn fit_segments(
-        segments: &[&LabelMatrix],
-        config: &GenerativeConfig,
-        par: &ParConfig,
-    ) -> Self {
-        Self::fit_segments_warm(segments, config, None, par)
-    }
-
-    /// [`GenerativeModel::fit_segments`] with an optional warm start: the
-    /// EM iteration begins from the given `(accuracies, prior)` instead of
-    /// `config.init_accuracy`. With `None` this is exactly the cold fit.
-    /// The incremental serving loop passes the previous batch's parameters
-    /// here together with a small `config.max_iters`, turning the full EM
-    /// into a mini-batch refit.
-    ///
-    /// A fixed `config.class_prior` still wins over the warm start's prior
-    /// (the caller pinned it on purpose).
-    ///
-    /// # Panics
-    /// Panics if there are no LFs, the segments disagree on LF count, or
-    /// the warm start's accuracy count differs from the matrix's LF count.
-    pub fn fit_segments_warm(
-        segments: &[&LabelMatrix],
-        config: &GenerativeConfig,
-        warm: Option<&WarmStart>,
-        par: &ParConfig,
-    ) -> Self {
-        let n_lfs = segments.first().map_or(0, |m| m.n_lfs());
-        assert!(n_lfs > 0, "cannot fit a generative model with zero LFs");
-        assert!(segments.iter().all(|m| m.n_lfs() == n_lfs), "segments disagree on LF count");
-        let mut patterns = VotePatterns::new(segments[0].names().to_vec());
-        for seg in segments {
-            patterns.extend_from_matrix(seg);
-        }
-        Self::fit_patterns(&patterns, config, warm, par)
+        Self::fit_patterns(&VotePatterns::from_matrix(matrix), config, None, par)
     }
 
     /// Fits the model over a vote-pattern table: the kernel behind every
@@ -770,49 +720,6 @@ mod tests {
         }
     }
 
-    /// The out-of-core contract: fitting segment-by-segment must reproduce
-    /// the whole-matrix fit bit for bit, for any cut pattern and any
-    /// thread count.
-    #[test]
-    fn fit_segments_matches_whole_fit_bitwise() {
-        let (m, _) = synthetic(20_000, 0.3, &[(0.9, 0.8), (0.7, 0.8), (0.6, 0.5)], 11);
-        let cfg = GenerativeConfig::default();
-        let whole = GenerativeModel::fit_with(&m, &cfg, &ParConfig::threads(2));
-        let split = |cuts: &[usize]| -> Vec<LabelMatrix> {
-            let mut segs = Vec::new();
-            let mut start = 0;
-            for &end in cuts.iter().chain([&m.n_rows()]) {
-                let mut votes = Vec::new();
-                for r in start..end {
-                    votes.extend_from_slice(m.row(r));
-                }
-                segs.push(LabelMatrix::from_votes(
-                    end - start,
-                    m.n_lfs(),
-                    votes,
-                    m.names().to_vec(),
-                ));
-                start = end;
-            }
-            segs
-        };
-        for cuts in [vec![1usize], vec![8192], vec![4999, 10_000, 15_000], vec![m.n_rows()]] {
-            let segs = split(&cuts);
-            for threads in [1usize, 2, 4] {
-                let refs: Vec<&LabelMatrix> = segs.iter().collect();
-                let model =
-                    GenerativeModel::fit_segments(&refs, &cfg, &ParConfig::threads(threads));
-                assert_eq!(
-                    model.accuracies(),
-                    whole.accuracies(),
-                    "cuts = {cuts:?}, threads = {threads}"
-                );
-                assert_eq!(model.class_prior().to_bits(), whole.class_prior().to_bits());
-                assert_eq!(model.iterations(), whole.iterations());
-            }
-        }
-    }
-
     #[test]
     fn em_moments_merge_is_order_free() {
         let (m, _) = synthetic(300, 0.3, &[(0.9, 0.8), (0.7, 0.6)], 13);
@@ -872,10 +779,11 @@ mod tests {
             accuracies: vec![cfg.init_accuracy.clamp(lo, hi); m.n_lfs()],
             class_prior: 0.5,
         };
+        let patterns = VotePatterns::from_matrix(&m);
         for threads in [1usize, 4] {
             let par = ParConfig::threads(threads);
             let cold = GenerativeModel::fit_with(&m, &cfg, &par);
-            let warmed = GenerativeModel::fit_segments_warm(&[&m], &cfg, Some(&warm), &par);
+            let warmed = GenerativeModel::fit_patterns(&patterns, &cfg, Some(&warm), &par);
             assert_eq!(cold.accuracies(), warmed.accuracies(), "threads = {threads}");
             assert_eq!(cold.class_prior().to_bits(), warmed.class_prior().to_bits());
             assert_eq!(cold.iterations(), warmed.iterations());
@@ -892,7 +800,8 @@ mod tests {
         let par = ParConfig::threads(2);
         let cold = GenerativeModel::fit_with(&m, &cfg, &par);
         let warm = cold.warm_start();
-        let refit = GenerativeModel::fit_segments_warm(&[&m], &cfg, Some(&warm), &par);
+        let refit =
+            GenerativeModel::fit_patterns(&VotePatterns::from_matrix(&m), &cfg, Some(&warm), &par);
         assert!(
             refit.iterations() < cold.iterations(),
             "warm refit took {} iterations, cold fit {}",
@@ -925,8 +834,8 @@ mod tests {
     fn warm_start_rejects_wrong_lf_count() {
         let (m, _) = synthetic(100, 0.3, &[(0.9, 0.9), (0.8, 0.8)], 6);
         let warm = WarmStart { accuracies: vec![0.7], class_prior: 0.5 };
-        GenerativeModel::fit_segments_warm(
-            &[&m],
+        GenerativeModel::fit_patterns(
+            &VotePatterns::from_matrix(&m),
             &GenerativeConfig::default(),
             Some(&warm),
             &ParConfig::serial(),
@@ -986,9 +895,14 @@ mod tests {
                 let refs: Vec<&LabelMatrix> = segs.iter().collect();
                 let rowwise_segs = fit_rowwise(&refs, &cfg, warm);
                 assert_eq!(bits(rowwise_segs.accuracies()), bits(reference.accuracies()));
+                // The table grows cut by cut, as the streamed driver's does.
+                let mut table = VotePatterns::new(m.names().to_vec());
+                for seg in &segs {
+                    table.extend_from_matrix(seg);
+                }
                 for threads in [1usize, 2, 4] {
                     let par = ParConfig::threads(threads);
-                    let model = GenerativeModel::fit_segments_warm(&refs, &cfg, warm, &par);
+                    let model = GenerativeModel::fit_patterns(&table, &cfg, warm, &par);
                     let ctx =
                         format!("cuts = {cuts:?}, threads = {threads}, warm = {}", warm.is_some());
                     assert_eq!(bits(model.accuracies()), bits(reference.accuracies()), "{ctx}");

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use cm_featurespace::{FeatureTable, FrozenTable};
+use cm_featurespace::FrozenTable;
 
 /// A labeling-function vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,22 +49,16 @@ impl Vote {
     }
 }
 
-/// A labeling function: maps a row of a feature table to a [`Vote`].
+/// A labeling function: maps a row of a frozen feature table to a [`Vote`].
 pub trait LabelingFunction: Send + Sync {
     /// Human-readable name (shows up in diagnostics and reports).
     fn name(&self) -> &str;
 
-    /// Votes on row `row` of `table`. Must abstain on missing inputs.
-    fn vote(&self, table: &FeatureTable, row: usize) -> Vote;
-
-    /// Votes on row `row` of a frozen columnar view. Must return exactly
-    /// the same vote as [`LabelingFunction::vote`] on the underlying
-    /// table; the default delegates, and the built-in LFs override it to
-    /// read the contiguous columns directly (no per-row schema dispatch),
-    /// which is what [`crate::LabelMatrix::apply`] iterates over.
-    fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
-        self.vote(frozen.table(), row)
-    }
+    /// Votes on row `row` of a frozen columnar view, reading its
+    /// contiguous columns directly (no per-row schema dispatch). Must
+    /// abstain on missing inputs. Callers freeze a table once and vote
+    /// every row through the view, as [`crate::LabelMatrix::apply`] does.
+    fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote;
 }
 
 /// Votes when a categorical feature contains any (or all) of a set of ids.
@@ -99,10 +93,6 @@ impl CategoricalContainsLf {
 impl LabelingFunction for CategoricalContainsLf {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn vote(&self, table: &FeatureTable, row: usize) -> Vote {
-        self.vote_ids(table.categorical(row, self.column))
     }
 
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
@@ -174,10 +164,6 @@ impl LabelingFunction for NumericThresholdLf {
         &self.name
     }
 
-    fn vote(&self, table: &FeatureTable, row: usize) -> Vote {
-        self.vote_value(table.numeric(row, self.column))
-    }
-
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
         self.vote_value(frozen.numeric(row, self.column))
     }
@@ -228,20 +214,6 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    fn holds(&self, table: &FeatureTable, row: usize) -> Option<bool> {
-        match *self {
-            Predicate::CatContains { column, id } => {
-                table.categorical(row, column).map(|ids| ids.binary_search(&id).is_ok())
-            }
-            Predicate::NumAbove { column, threshold } => {
-                table.numeric(row, column).map(|v| v >= threshold)
-            }
-            Predicate::NumBelow { column, threshold } => {
-                table.numeric(row, column).map(|v| v <= threshold)
-            }
-        }
-    }
-
     fn holds_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Option<bool> {
         match *self {
             Predicate::CatContains { column, id } => {
@@ -283,16 +255,6 @@ impl ConjunctionLf {
 impl LabelingFunction for ConjunctionLf {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn vote(&self, table: &FeatureTable, row: usize) -> Vote {
-        for p in &self.predicates {
-            match p.holds(table, row) {
-                Some(true) => {}
-                Some(false) | None => return Vote::Abstain,
-            }
-        }
-        self.on_match
     }
 
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
@@ -369,10 +331,6 @@ impl LabelingFunction for BoundScoreLf {
         &self.name
     }
 
-    fn vote(&self, _table: &FeatureTable, row: usize) -> Vote {
-        self.vote_row(row)
-    }
-
     fn vote_frozen(&self, _frozen: &FrozenTable<'_>, row: usize) -> Vote {
         self.vote_row(row)
     }
@@ -398,7 +356,8 @@ mod tests {
     use std::sync::Arc;
 
     use cm_featurespace::{
-        CatSet, FeatureDef, FeatureSchema, FeatureSet, FeatureValue, ServingMode, Vocabulary,
+        CatSet, FeatureDef, FeatureSchema, FeatureSet, FeatureTable, FeatureValue, ServingMode,
+        Vocabulary,
     };
 
     use super::*;
@@ -438,45 +397,50 @@ mod tests {
 
     #[test]
     fn categorical_any_match() {
-        let t = table();
+        let table = table();
+        let t = FrozenTable::freeze(&table);
         let lf = CategoricalContainsLf::new(0, vec![2, 3], false, Vote::Positive);
-        assert_eq!(lf.vote(&t, 0), Vote::Positive);
-        assert_eq!(lf.vote(&t, 1), Vote::Positive);
+        assert_eq!(lf.vote_frozen(&t, 0), Vote::Positive);
+        assert_eq!(lf.vote_frozen(&t, 1), Vote::Positive);
         let lf_miss = CategoricalContainsLf::new(0, vec![1], false, Vote::Positive);
-        assert_eq!(lf_miss.vote(&t, 0), Vote::Abstain);
+        assert_eq!(lf_miss.vote_frozen(&t, 0), Vote::Abstain);
     }
 
     #[test]
     fn categorical_all_match() {
-        let t = table();
+        let table = table();
+        let t = FrozenTable::freeze(&table);
         let lf = CategoricalContainsLf::new(0, vec![0, 2], true, Vote::Negative);
-        assert_eq!(lf.vote(&t, 0), Vote::Negative);
-        assert_eq!(lf.vote(&t, 1), Vote::Abstain);
+        assert_eq!(lf.vote_frozen(&t, 0), Vote::Negative);
+        assert_eq!(lf.vote_frozen(&t, 1), Vote::Abstain);
     }
 
     #[test]
     fn lfs_abstain_on_missing() {
-        let t = table();
+        let table = table();
+        let t = FrozenTable::freeze(&table);
         let c = CategoricalContainsLf::new(0, vec![0], false, Vote::Positive);
         let n = NumericThresholdLf::new(1, 0.0, ThresholdDirection::Above, Vote::Positive);
-        assert_eq!(c.vote(&t, 2), Vote::Abstain);
-        assert_eq!(n.vote(&t, 2), Vote::Abstain);
+        assert_eq!(c.vote_frozen(&t, 2), Vote::Abstain);
+        assert_eq!(n.vote_frozen(&t, 2), Vote::Abstain);
     }
 
     #[test]
     fn numeric_threshold_directions() {
-        let t = table();
+        let table = table();
+        let t = FrozenTable::freeze(&table);
         let above = NumericThresholdLf::new(1, 3.0, ThresholdDirection::Above, Vote::Positive);
         let below = NumericThresholdLf::new(1, 3.0, ThresholdDirection::Below, Vote::Negative);
-        assert_eq!(above.vote(&t, 0), Vote::Positive);
-        assert_eq!(above.vote(&t, 1), Vote::Abstain);
-        assert_eq!(below.vote(&t, 0), Vote::Abstain);
-        assert_eq!(below.vote(&t, 1), Vote::Negative);
+        assert_eq!(above.vote_frozen(&t, 0), Vote::Positive);
+        assert_eq!(above.vote_frozen(&t, 1), Vote::Abstain);
+        assert_eq!(below.vote_frozen(&t, 0), Vote::Abstain);
+        assert_eq!(below.vote_frozen(&t, 1), Vote::Negative);
     }
 
     #[test]
     fn conjunction_requires_all_and_abstains_on_missing() {
-        let t = table();
+        let table = table();
+        let t = FrozenTable::freeze(&table);
         let lf = ConjunctionLf::new(
             "expert",
             vec![
@@ -485,9 +449,9 @@ mod tests {
             ],
             Vote::Positive,
         );
-        assert_eq!(lf.vote(&t, 0), Vote::Positive);
-        assert_eq!(lf.vote(&t, 1), Vote::Abstain);
-        assert_eq!(lf.vote(&t, 2), Vote::Abstain);
+        assert_eq!(lf.vote_frozen(&t, 0), Vote::Positive);
+        assert_eq!(lf.vote_frozen(&t, 1), Vote::Abstain);
+        assert_eq!(lf.vote_frozen(&t, 2), Vote::Abstain);
     }
 
     #[test]
@@ -498,52 +462,19 @@ mod tests {
 
     #[test]
     fn bound_score_lf_thresholds() {
-        let t = table();
+        let table = table();
+        let t = FrozenTable::freeze(&table);
         let lf = BoundScoreLf::new("prop", vec![0.9, 0.5, 0.05], 0.8, 0.1);
-        assert_eq!(lf.vote(&t, 0), Vote::Positive);
-        assert_eq!(lf.vote(&t, 1), Vote::Abstain);
-        assert_eq!(lf.vote(&t, 2), Vote::Negative);
+        assert_eq!(lf.vote_frozen(&t, 0), Vote::Positive);
+        assert_eq!(lf.vote_frozen(&t, 1), Vote::Abstain);
+        assert_eq!(lf.vote_frozen(&t, 2), Vote::Negative);
         // Out-of-range rows abstain rather than panic.
-        assert_eq!(lf.vote(&t, 99), Vote::Abstain);
+        assert_eq!(lf.vote_frozen(&t, 99), Vote::Abstain);
     }
 
     #[test]
     #[should_panic(expected = "exceeds positive")]
     fn bound_score_lf_rejects_inverted_thresholds() {
         BoundScoreLf::new("bad", vec![], 0.1, 0.8);
-    }
-
-    /// Every built-in LF must vote identically through the frozen columnar
-    /// path and the row-wise table path, including on missing rows.
-    #[test]
-    fn vote_frozen_matches_vote() {
-        let t = table();
-        let frozen = FrozenTable::freeze(&t);
-        let lfs: Vec<Box<dyn LabelingFunction>> = vec![
-            Box::new(CategoricalContainsLf::new(0, vec![2, 3], false, Vote::Positive)),
-            Box::new(CategoricalContainsLf::new(0, vec![0, 2], true, Vote::Negative)),
-            Box::new(NumericThresholdLf::new(1, 3.0, ThresholdDirection::Above, Vote::Positive)),
-            Box::new(NumericThresholdLf::new(1, 3.0, ThresholdDirection::Below, Vote::Negative)),
-            Box::new(ConjunctionLf::new(
-                "expert",
-                vec![
-                    Predicate::CatContains { column: 0, id: 2 },
-                    Predicate::NumAbove { column: 1, threshold: 4.0 },
-                    Predicate::NumBelow { column: 1, threshold: 9.0 },
-                ],
-                Vote::Positive,
-            )),
-            Box::new(BoundScoreLf::new("prop", vec![0.9, 0.5, 0.05], 0.8, 0.1)),
-        ];
-        for lf in &lfs {
-            for row in 0..t.len() {
-                assert_eq!(
-                    lf.vote_frozen(&frozen, row),
-                    lf.vote(&t, row),
-                    "lf {} row {row}",
-                    lf.name()
-                );
-            }
-        }
     }
 }

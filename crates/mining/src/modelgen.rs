@@ -10,7 +10,7 @@
 //! generation explores thresholds mining's quantile bins miss, at a higher
 //! runtime and with more correlated output.
 
-use cm_featurespace::{FeatureKind, FeatureTable, Label};
+use cm_featurespace::{FeatureKind, FeatureTable, FrozenTable, Label};
 use cm_labelmodel::{
     CategoricalContainsLf, LabelingFunction, NumericThresholdLf, ThresholdDirection, Vote,
 };
@@ -58,6 +58,7 @@ pub fn generate_stump_lfs(
     let n = dev.len();
     let n_pos = labels.iter().filter(|l| l.is_positive()).count();
     let n_neg = n - n_pos;
+    let frozen = FrozenTable::freeze(dev);
 
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut consider = |lf: Box<dyn LabelingFunction>, positive_vote: bool| {
@@ -65,7 +66,7 @@ pub fn generate_stump_lfs(
         let mut tp = 0usize;
         let mut fp = 0usize;
         for (r, label) in labels.iter().enumerate() {
-            if lf.vote(dev, r) != Vote::Abstain {
+            if lf.vote_frozen(&frozen, r) != Vote::Abstain {
                 fired[r] = true;
                 let correct = label.is_positive() == positive_vote;
                 if correct {

@@ -140,8 +140,12 @@ impl LabelingFunction for ExpertNamed {
         &self.name
     }
 
-    fn vote(&self, table: &cm_featurespace::FeatureTable, row: usize) -> cm_labelmodel::Vote {
-        self.inner.vote(table, row)
+    fn vote_frozen(
+        &self,
+        frozen: &cm_featurespace::FrozenTable<'_>,
+        row: usize,
+    ) -> cm_labelmodel::Vote {
+        self.inner.vote_frozen(frozen, row)
     }
 }
 

@@ -15,8 +15,19 @@
 //! - `cm-serve` owns the *robustness envelope*: admission control,
 //!   quality guards, quarantine, and checkpointing. The curator supports
 //!   it with [`IncrementalCurator::preview_batch`] (guard inputs without
-//!   state mutation) and [`IncrementalCurator::export_state`] /
+//!   state mutation), [`IncrementalCurator::export_state`] /
+//!   [`IncrementalCurator::export_delta`] (checkpoint records) and
 //!   [`IncrementalCurator::restore`] (crash recovery).
+//!
+//! **Checkpoint records**: the curator's durable state has one record
+//! type, [`IncrementalState`]: the pool rows ingested from its
+//! `start_row` on, their base-LF votes, the online graph's per-row routes
+//! and edges over the same ingests, and the current EM parameters.
+//! `export_state` is the record since pool row 0 (a delta-log base),
+//! `export_delta` the record since the last export.
+//! [`IncrementalState::merge`] only appends rows or replaces scalars, so
+//! a base equals the empty record merged with every record since; it
+//! checks that a record continues the state before changing anything.
 //!
 //! **Resume contract**: `restore(world, text, config, state)` rebuilds a
 //! curator whose observable behavior — posteriors, coverage, and every
@@ -24,7 +35,7 @@
 //! state and never stopped. Everything derivable from the clean-path
 //! inputs (mined LFs, dev split, similarity scales, seed vertices) is
 //! recomputed deterministically; only the state that depends on the
-//! faulty arrival history (pool rows, EM parameters, graph routing) rides
+//! faulty arrival history (pool rows, EM parameters, graph routes) rides
 //! in [`IncrementalState`].
 //!
 //! Two deliberate divergences from the one-shot batch pipeline, both
@@ -33,15 +44,19 @@
 //! always the warm-startable EM model rather than the dev-anchored one.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
-use cm_featurespace::{FeatureTable, FrozenTable, SimilarityConfig};
+use cm_featurespace::{
+    CmError, CmResult, ErrorKind, FeatureSchema, FeatureTable, FrozenTable, ModalityKind,
+    SimilarityConfig,
+};
 use cm_labelmodel::{
     GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns, WarmStart,
 };
 use cm_mining::mine_lfs;
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
-use cm_propagation::{propagate, OnlineGraph, OnlineGraphDelta, OnlineGraphState};
+use cm_propagation::{propagate, OnlineGraph, OnlineGraphState};
 
 use crate::curation::{lf_columns, sim_columns, CurationConfig, PropSetup};
 
@@ -102,75 +117,93 @@ pub struct BatchPreview {
     pub mean_entropy: Option<f64>,
 }
 
-/// The arrival-dependent state of an [`IncrementalCurator`] — everything
-/// a checkpoint must persist to resume bit-identically. Serialized by
-/// `cm-serve`'s snapshot module (the `checkpoint-drift` lint confines
-/// field access to that module and to this crate).
+/// One checkpoint record of an [`IncrementalCurator`] (see the module
+/// docs): a record from pool row 0 is the whole arrival-dependent state.
+/// Serialized by `cm-serve`'s snapshot module.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
-    /// Batches ingested so far.
+    /// Batches ingested so far (absolute).
     pub n_batches: usize,
-    /// The accumulated pool: featurized arrival rows in ingest order.
+    /// Pool rows ingested before this record's first row.
+    pub start_row: usize,
+    /// The record's pool rows: featurized arrival rows in ingest order.
     pub pool: ModalityDataset,
-    /// Accumulated base-LF votes, row-major `pool.len() x n_base_lfs`.
-    /// Required: [`IncrementalCurator::restore`] uses them verbatim and
-    /// panics when the length disagrees with the pool.
+    /// Base-LF votes of the record's rows, row-major
+    /// `pool.len() x n_base_lfs`. [`IncrementalCurator::restore`] uses
+    /// them verbatim and panics when the length disagrees with the pool.
     pub votes: Vec<i8>,
     /// EM parameters of the current model, if any batch has been fitted.
+    /// They change entirely on each refit, so every record carries them.
     pub em_warm: Option<WarmStart>,
     /// Iterations the last refit ran (restored for reporting parity).
     pub em_iterations: usize,
-    /// Online propagation-graph routing state, when propagation is on.
+    /// The online propagation graph's record, when propagation is on.
     pub graph: Option<OnlineGraphState>,
 }
 
-/// Everything an [`IncrementalCurator`] accreted since its last durable
-/// point: the payload of one checkpoint delta record, O(batch) where the
-/// full [`IncrementalState`] is O(pool). The EM parameters ride whole in
-/// every delta — they are a handful of floats and change entirely on each
-/// refit, so there is nothing incremental about them.
-#[derive(Debug, Clone)]
-pub struct IncrementalDelta {
-    /// Batches ingested after this delta (absolute, for replay checks).
-    pub n_batches: usize,
-    /// Pool rows appended since the last durable point.
-    pub new_rows: ModalityDataset,
-    /// Base-LF votes for the appended rows, row-major.
-    pub new_votes: Vec<i8>,
-    /// Full EM parameters after the latest refit.
-    pub em_warm: Option<WarmStart>,
-    /// Iterations the latest refit ran.
-    pub em_iterations: usize,
-    /// Growth of the online propagation graph, when propagation is on.
-    pub graph: Option<OnlineGraphDelta>,
-}
-
 impl IncrementalState {
-    /// Applies one exported delta in place: pure appends plus the EM
-    /// parameter swap. Replaying a base state through every delta in
-    /// export order reproduces [`IncrementalCurator::export_state`]'s
+    /// The record of a run that has ingested nothing: the identity of
+    /// [`IncrementalState::merge`], so a checkpoint base is this record
+    /// merged with every record since.
+    pub fn empty(schema: Arc<FeatureSchema>, propagation: bool) -> Self {
+        IncrementalState {
+            n_batches: 0,
+            start_row: 0,
+            pool: ModalityDataset {
+                modality: ModalityKind::Image,
+                table: FeatureTable::new(schema),
+                labels: Vec::new(),
+                borderline: Vec::new(),
+            },
+            votes: Vec::new(),
+            em_warm: None,
+            em_iterations: 0,
+            graph: propagation.then(OnlineGraphState::default),
+        }
+    }
+
+    /// Appends the next record: its rows, votes and graph record append,
+    /// its batch count and EM parameters replace. Merging a run's records
+    /// in export order reproduces [`IncrementalCurator::export_state`]'s
     /// output at the same point, bit-identically.
     ///
-    /// # Panics
-    /// Panics if the delta's propagation-graph presence disagrees with
-    /// this state's, or the graph delta misaligns (see
-    /// [`OnlineGraphState::apply_delta`]).
-    pub fn apply_delta(&mut self, delta: &IncrementalDelta) {
-        self.n_batches = delta.n_batches;
-        self.pool.table.extend_from(&delta.new_rows.table);
-        self.pool.labels.extend_from_slice(&delta.new_rows.labels);
-        self.pool.borderline.extend_from_slice(&delta.new_rows.borderline);
-        self.votes.extend_from_slice(&delta.new_votes);
-        self.em_warm = delta.em_warm.clone();
-        self.em_iterations = delta.em_iterations;
-        assert_eq!(
-            self.graph.is_some(),
-            delta.graph.is_some(),
-            "delta graph presence disagrees with the base state"
-        );
-        if let (Some(g), Some(d)) = (&mut self.graph, &delta.graph) {
-            g.apply_delta(d);
+    /// # Errors
+    /// Fails, leaving `self` unchanged, when `next` does not start at this
+    /// record's last pool row, disagrees on whether propagation is on, or
+    /// does not continue the graph ([`OnlineGraphState::merge`]).
+    pub fn merge(&mut self, next: IncrementalState) -> CmResult<()> {
+        const LOC: &str = "IncrementalState::merge";
+        let end = self.start_row + self.pool.len();
+        if next.start_row != end {
+            return Err(CmError::new(
+                ErrorKind::OutOfBounds,
+                LOC,
+                format!("record starts at pool row {}, state has {end}", next.start_row),
+            ));
         }
+        match (&mut self.graph, next.graph) {
+            (Some(graph), Some(next_graph)) => graph.merge(next_graph)?,
+            (None, None) => {}
+            _ => {
+                return Err(CmError::new(
+                    ErrorKind::SchemaMismatch,
+                    LOC,
+                    "record's propagation graph presence disagrees with the state's",
+                ))
+            }
+        }
+        if self.pool.is_empty() {
+            self.pool = next.pool;
+        } else {
+            self.pool.table.extend_from(&next.pool.table);
+            self.pool.labels.extend(next.pool.labels);
+            self.pool.borderline.extend(next.pool.borderline);
+        }
+        self.votes.extend(next.votes);
+        self.n_batches = next.n_batches;
+        self.em_warm = next.em_warm;
+        self.em_iterations = next.em_iterations;
+        Ok(())
     }
 }
 
@@ -243,12 +276,7 @@ impl IncrementalCurator {
             lf_names.push(PROPAGATION_LF.to_owned());
         }
 
-        let pool = ModalityDataset {
-            modality: cm_featurespace::ModalityKind::Image,
-            table: FeatureTable::new(world.schema().clone()),
-            labels: Vec::new(),
-            borderline: Vec::new(),
-        };
+        let pool = IncrementalState::empty(world.schema().clone(), false).pool;
         IncrementalCurator {
             config,
             lfs,
@@ -388,39 +416,45 @@ impl IncrementalCurator {
         }
     }
 
-    /// Exports the arrival-dependent state for checkpointing and declares
-    /// it durable: the next [`IncrementalCurator::export_delta`] reports
-    /// only growth after this call. O(pool) — the delta-log base record.
+    /// Exports the record since pool row 0 — the whole arrival-dependent
+    /// state, O(pool), the delta-log base — and declares it durable: the
+    /// next [`IncrementalCurator::export_delta`] reports only growth after
+    /// this call.
     pub fn export_state(&mut self) -> IncrementalState {
-        self.mark_rows = self.pool.len();
+        self.export_record(true)
+    }
+
+    /// Exports the record since the last durable export — cost
+    /// proportional to the new batches, not the accumulated pool — and
+    /// advances the durable mark. The delta-log append record.
+    pub fn export_delta(&mut self) -> IncrementalState {
+        self.export_record(false)
+    }
+
+    fn export_record(&mut self, whole: bool) -> IncrementalState {
+        let start_row = if whole { 0 } else { self.mark_rows };
+        let end = self.pool.len();
+        let pool = if whole {
+            self.pool.clone()
+        } else {
+            self.pool.gather(&(start_row..end).collect::<Vec<_>>())
+        };
+        self.mark_rows = end;
         IncrementalState {
             n_batches: self.n_batches,
-            pool: self.pool.clone(),
-            votes: self.base_patterns.row_votes(0..self.pool.len()),
+            start_row,
+            pool,
+            votes: self.base_patterns.row_votes(start_row..end),
             em_warm: self.warm.clone(),
             em_iterations: self.em_iterations,
             graph: self.prop.as_mut().map(|p| {
-                p.online.mark_durable();
-                p.online.snapshot()
+                if whole {
+                    p.online.mark_durable();
+                    p.online.snapshot()
+                } else {
+                    p.online.export_delta()
+                }
             }),
-        }
-    }
-
-    /// Exports everything ingested since the last durable point — cost
-    /// proportional to the new batches, not the accumulated pool — and
-    /// advances the durable mark. The delta-log append record.
-    pub fn export_delta(&mut self) -> IncrementalDelta {
-        let idx: Vec<usize> = (self.mark_rows..self.pool.len()).collect();
-        let new_rows = self.pool.gather(&idx);
-        let new_votes = self.base_patterns.row_votes(self.mark_rows..self.pool.len());
-        self.mark_rows = self.pool.len();
-        IncrementalDelta {
-            n_batches: self.n_batches,
-            new_rows,
-            new_votes,
-            em_warm: self.warm.clone(),
-            em_iterations: self.em_iterations,
-            graph: self.prop.as_mut().map(|p| p.online.export_delta()),
         }
     }
 
@@ -431,10 +465,10 @@ impl IncrementalCurator {
     /// curator's.
     ///
     /// # Panics
-    /// Panics if the state disagrees with the configuration (a graph
-    /// snapshot with propagation disabled, or vice versa), or if
-    /// `state.votes` does not hold exactly one vote per pool row and
-    /// mined LF.
+    /// Panics if the state is not a record since pool row 0, disagrees
+    /// with the configuration (a graph record with propagation disabled,
+    /// or vice versa), or if `state.votes` does not hold exactly one vote
+    /// per pool row and mined LF.
     pub fn restore(
         world: &World,
         text: &ModalityDataset,
@@ -443,6 +477,7 @@ impl IncrementalCurator {
         par: &ParConfig,
     ) -> Self {
         let mut c = Self::new(world, text, config);
+        assert_eq!(state.start_row, 0, "checkpointed state is not a record since pool row 0");
         assert_eq!(
             c.prop.is_some(),
             state.graph.is_some(),
@@ -820,22 +855,21 @@ mod tests {
         let (world, text, pool) = fixture();
         let par = ParConfig::threads(2);
         let all = batches(&pool, 60);
-        // Live run: base export after batch 0, one delta per later batch.
+        // Live run: base export after batch 0, one delta per later batch,
+        // all merged onto the empty record.
         let mut live = IncrementalCurator::new(&world, &text, fast_config());
         live.ingest_batch(&all[0], &par);
-        let mut replayed = live.export_state();
-        let mut deltas = Vec::new();
+        let mut replayed = IncrementalState::empty(world.schema().clone(), true);
+        replayed.merge(live.export_state()).expect("base continues the empty record");
         for b in &all[1..] {
             live.ingest_batch(b, &par);
-            deltas.push(live.export_delta());
-        }
-        for d in &deltas {
-            replayed.apply_delta(d);
+            replayed.merge(live.export_delta()).expect("delta continues the base");
         }
         // The replayed state matches a fresh O(pool) export field-by-field
         // (the pool table has no equality; its votes and labels pin it).
         let full = live.export_state();
         assert_eq!(replayed.n_batches, full.n_batches);
+        assert_eq!(replayed.start_row, 0);
         assert_eq!(replayed.votes, full.votes);
         assert_eq!(replayed.em_warm, full.em_warm);
         assert_eq!(replayed.em_iterations, full.em_iterations);
@@ -846,6 +880,33 @@ mod tests {
         let resumed = IncrementalCurator::restore(&world, &text, fast_config(), replayed, &par);
         assert_eq!(resumed.posteriors(), live.posteriors());
         assert_eq!(resumed.covered(), live.covered());
+
+        // A base written after deltas moved the marks: restoring it gives
+        // the live curator, and the next delta matches too.
+        let mut live = IncrementalCurator::new(&world, &text, fast_config());
+        let mut replayed = IncrementalState::empty(world.schema().clone(), true);
+        live.ingest_batch(&all[0], &par);
+        replayed.merge(live.export_state()).expect("first base");
+        for b in &all[1..all.len() - 1] {
+            live.ingest_batch(b, &par);
+            replayed.merge(live.export_delta()).expect("delta");
+        }
+        let base = live.export_state();
+        assert_eq!(base.votes, replayed.votes);
+        assert_eq!(base.graph, replayed.graph);
+        let mut resumed = IncrementalCurator::restore(&world, &text, fast_config(), base, &par);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(resumed.posteriors()), bits(live.posteriors()));
+        assert_eq!(resumed.covered(), live.covered());
+        let last = &all[all.len() - 1];
+        assert_eq!(resumed.ingest_batch(last, &par), live.ingest_batch(last, &par));
+        let (next_resumed, next_live) = (resumed.export_delta(), live.export_delta());
+        assert_eq!(next_resumed.start_row, next_live.start_row);
+        assert_eq!(next_resumed.votes, next_live.votes);
+        assert_eq!(next_resumed.em_warm, next_live.em_warm);
+        assert_eq!(next_resumed.graph, next_live.graph);
+        assert_eq!(next_resumed.pool.labels, next_live.pool.labels);
+        assert_eq!(bits(resumed.posteriors()), bits(live.posteriors()));
     }
 
     #[test]
@@ -855,13 +916,14 @@ mod tests {
         let all = batches(&pool, 60);
         let mut cur = IncrementalCurator::new(&world, &text, fast_config());
         cur.ingest_batch(&all[0], &par);
-        let _ = cur.export_state();
+        let base = cur.export_state();
         let idle = cur.export_delta();
-        assert_eq!(idle.new_rows.len(), 0);
-        assert!(idle.new_votes.is_empty());
+        assert_eq!(idle.start_row, base.pool.len());
+        assert_eq!(idle.pool.len(), 0);
+        assert!(idle.votes.is_empty());
         assert_eq!(idle.n_batches, 1);
         if let Some(g) = &idle.graph {
-            assert!(g.new_edges.is_empty() && g.new_anchors.is_empty());
+            assert!(g.routes.is_empty() && g.edges.is_empty());
         }
     }
 

@@ -40,8 +40,7 @@ pub use curation::{
 pub use data::{mask_disallowed_sets, DenseView, TaskData};
 pub use expert::{expert_lfs, EXPERT_AUTHORING};
 pub use incremental::{
-    mean_entropy, BatchPreview, BatchStats, IncrementalConfig, IncrementalCurator,
-    IncrementalDelta, IncrementalState,
+    mean_entropy, BatchPreview, BatchStats, IncrementalConfig, IncrementalCurator, IncrementalState,
 };
 pub use report::{DegradationReport, LfAbstainRates, ModelEval, ScenarioReport, ServingReport};
 pub use selftrain::{self_train, SelfTrainConfig, SelfTrainOutcome};

@@ -24,6 +24,6 @@ pub mod score_lf;
 
 pub use builder::{anchor_plan, candidate_stride, route_row, GraphBuilder, KnnMethod, TopK};
 pub use graph::SparseGraph;
-pub use online::{target_anchor_count, OnlineGraph, OnlineGraphDelta, OnlineGraphState};
+pub use online::{target_anchor_count, OnlineGraph, OnlineGraphState};
 pub use propagation::{propagate, propagate_streaming, PropagationConfig};
 pub use score_lf::{tune_score_thresholds, TunedThresholds};

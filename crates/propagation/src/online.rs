@@ -15,17 +15,23 @@
 //!   inserted strictly sequentially (each sees exactly the anchors and
 //!   members left by its predecessors), so batch boundaries are invisible
 //!   by construction — and so is the thread count.
-//! - **Resumability**: [`OnlineGraph::snapshot`] exports the full
-//!   routing state ([`OnlineGraphState`]); a graph restored from it
-//!   continues bit-identically to one that never stopped. This is what the
-//!   serve checkpoint stores instead of edge-by-edge deltas.
+//! - **Resumability**: the graph's durable state is one record per row:
+//!   the anchor indices the row was routed to and the edges it added
+//!   ([`OnlineGraphState`]). Whether a row is promoted to an anchor
+//!   depends only on its index, so the anchor and member lists are
+//!   rebuilt from the routes alone. A checkpoint base is the record of
+//!   every row since row 0 ([`OnlineGraph::snapshot`]), a delta the
+//!   record since the last export ([`OnlineGraph::export_delta`]), and
+//!   merging records in order ([`OnlineGraphState::merge`]) only appends.
+//!   A graph restored from the merged record continues bit-identically to
+//!   one that never stopped.
 //!
 //! Earlier rows are never re-routed when a new anchor appears — that is
 //! the accepted approximation cost of avoiding full rebuilds, mirroring
 //! how Expander-style systems absorb incremental updates between offline
 //! rebuilds.
 
-use cm_featurespace::{FrozenTable, PairKernel, SimilarityConfig};
+use cm_featurespace::{CmError, CmResult, ErrorKind, FrozenTable, PairKernel, SimilarityConfig};
 
 use crate::builder::{candidate_stride, route_row, TopK};
 use crate::graph::SparseGraph;
@@ -37,41 +43,69 @@ pub fn target_anchor_count(n: usize) -> usize {
     ((n as f64).sqrt() as usize).clamp(16, 512)
 }
 
-/// Exported routing state of an [`OnlineGraph`]: everything needed to
-/// resume insertion bit-identically. Serialized into the serve checkpoint
-/// by `cm-serve`'s snapshot module (the `checkpoint-drift` lint confines
-/// field access to that module and to this crate).
-#[derive(Debug, Clone, PartialEq)]
+/// Anchors that exist when row `row` is inserted. Row `i` is promoted
+/// while `anchors < target_anchor_count(i + 1)`; the target starts at 16
+/// and grows by at most one per row, so the count is every row up to 16
+/// and the target after that.
+fn anchors_before(row: usize) -> usize {
+    row.min(target_anchor_count(row))
+}
+
+/// One checkpoint record of an [`OnlineGraph`]: the rows inserted from
+/// `start_row` on, each with its route, and the edges they added. A record
+/// from row 0 is the whole graph. Serialized into the serve checkpoint by
+/// `cm-serve`'s snapshot module.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OnlineGraphState {
-    /// Rows inserted so far; the next insertion starts here.
-    pub n_rows: usize,
-    /// Row ids promoted to anchors, in promotion order.
-    pub anchors: Vec<u32>,
-    /// Per-anchor member lists (rows routed to that anchor), aligned with
-    /// `anchors`.
-    pub anchor_members: Vec<Vec<u32>>,
-    /// Accumulated `(src, dst, weight)` edges; `src` is always the newer
-    /// row, symmetrization happens when the [`SparseGraph`] is built.
+    /// Rows inserted before this record's first row.
+    pub start_row: usize,
+    /// Per row `start_row + i`: the anchor indices it was routed to.
+    pub routes: Vec<Vec<u32>>,
+    /// `(src, dst, weight)` edges the rows added; `src` is always the
+    /// newer row, symmetrization happens when the [`SparseGraph`] is built.
     pub edges: Vec<(u32, u32, f32)>,
 }
 
-/// Everything an [`OnlineGraph`] accreted since its last durable point:
-/// the payload of one checkpoint delta record. Applying a run's deltas in
-/// order to the starting [`OnlineGraphState`] reproduces the final state
-/// bit-identically — see [`OnlineGraphState::apply_delta`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineGraphDelta {
-    /// Total rows inserted after this delta (absolute, not an increment,
-    /// so a replay can sanity-check monotonicity).
-    pub n_rows: usize,
-    /// Edges appended since the last durable point.
-    pub new_edges: Vec<(u32, u32, f32)>,
-    /// Members appended to anchors that already existed at the last
-    /// durable point: `(anchor index, appended row ids)`.
-    pub member_appends: Vec<(u32, Vec<u32>)>,
-    /// Anchors promoted since the last durable point, with their full
-    /// member lists: `(anchor row id, members)`.
-    pub new_anchors: Vec<(u32, Vec<u32>)>,
+impl OnlineGraphState {
+    /// Rows inserted once this record is applied.
+    pub fn end_row(&self) -> usize {
+        self.start_row + self.routes.len()
+    }
+
+    /// Appends the next record. Merging a run's records in export order
+    /// onto an empty record reproduces the live graph's
+    /// [`OnlineGraph::snapshot`] bit for bit.
+    ///
+    /// # Errors
+    /// Fails, leaving `self` unchanged, when `next` does not start where
+    /// this record ends, routes a row to an anchor that did not exist yet,
+    /// or holds an edge whose source is not one of its rows or whose
+    /// target is not an earlier row.
+    pub fn merge(&mut self, next: OnlineGraphState) -> CmResult<()> {
+        let bad = |message: String| {
+            Err(CmError::new(ErrorKind::OutOfBounds, "OnlineGraphState::merge", message))
+        };
+        let start = self.end_row();
+        if next.start_row != start {
+            return bad(format!("record starts at row {}, graph has {start}", next.start_row));
+        }
+        let end = next.end_row();
+        for (row, route) in (start..).zip(&next.routes) {
+            let anchors = anchors_before(row);
+            if let Some(a) = route.iter().find(|&&a| a as usize >= anchors) {
+                return bad(format!("row {row} routed to anchor {a} of {anchors}"));
+            }
+        }
+        let misplaced = |&&(src, dst, _): &&(u32, u32, f32)| {
+            !(start..end).contains(&(src as usize)) || dst >= src
+        };
+        if let Some((src, dst, _)) = next.edges.iter().find(misplaced) {
+            return bad(format!("edge {src} -> {dst} outside rows {start}..{end}"));
+        }
+        self.routes.extend(next.routes);
+        self.edges.extend(next.edges);
+        Ok(())
+    }
 }
 
 /// Incrementally grown approximate k-NN graph.
@@ -85,17 +119,15 @@ pub struct OnlineGraph {
     pub max_candidates: usize,
     /// Minimum similarity for an edge to exist at all.
     pub min_weight: f64,
-    n_rows: usize,
+    /// Per inserted row, the anchor indices it was routed to.
+    routes: Vec<Vec<u32>>,
+    edges: Vec<(u32, u32, f32)>,
+    /// Row ids promoted to anchors, in promotion order, and per anchor the
+    /// rows routed to it: an index rebuilt from `routes`.
     anchors: Vec<u32>,
     anchor_members: Vec<Vec<u32>>,
-    edges: Vec<(u32, u32, f32)>,
-    // Durable marks: how much of each list was already exported by the
-    // last `export_delta` (or covered by the snapshot this graph was
-    // restored from). `mark_members[i]` is the member count of anchor `i`
-    // at that point, aligned with `anchors[..mark_anchors]` plus any
-    // anchors promoted-then-exported since.
-    mark_anchors: usize,
-    mark_members: Vec<usize>,
+    /// Rows and edges covered by the last durable record.
+    mark_rows: usize,
     mark_edges: usize,
 }
 
@@ -109,19 +141,18 @@ impl OnlineGraph {
             probes: 4,
             max_candidates: 256,
             min_weight: 0.05,
-            n_rows: 0,
+            routes: Vec::new(),
+            edges: Vec::new(),
             anchors: Vec::new(),
             anchor_members: Vec::new(),
-            edges: Vec::new(),
-            mark_anchors: 0,
-            mark_members: Vec::new(),
+            mark_rows: 0,
             mark_edges: 0,
         }
     }
 
     /// Rows inserted so far.
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.routes.len()
     }
 
     /// Current anchor-pool size.
@@ -143,19 +174,18 @@ impl OnlineGraph {
     /// Panics if the table has fewer rows than were already inserted.
     pub fn insert_rows(&mut self, frozen: &FrozenTable<'_>, config: &SimilarityConfig) {
         assert!(
-            frozen.len() >= self.n_rows,
+            frozen.len() >= self.n_rows(),
             "frozen table shrank below the inserted prefix ({} < {})",
             frozen.len(),
-            self.n_rows
+            self.n_rows()
         );
-        if frozen.len() == self.n_rows {
+        if frozen.len() == self.n_rows() {
             return;
         }
         let kernel = PairKernel::compile(frozen, config);
-        for i in self.n_rows..frozen.len() {
+        for i in self.n_rows()..frozen.len() {
             self.insert_row(&kernel, i);
         }
-        self.n_rows = frozen.len();
     }
 
     fn insert_row(&mut self, kernel: &PairKernel<'_>, i: usize) {
@@ -176,111 +206,83 @@ impl OnlineGraph {
             }
         }
         top.drain_into(i as u32, &mut self.edges);
+        self.push_route(route.into_iter().map(|a| a as u32).collect());
+    }
+
+    /// Records the next row's route: the row joins each routed anchor's
+    /// members and, while the anchor pool is below its size target, is
+    /// promoted to an anchor itself. Existing rows are never re-routed.
+    fn push_route(&mut self, route: Vec<u32>) {
+        let i = self.routes.len();
         for &a in &route {
-            self.anchor_members[a].push(i as u32);
+            self.anchor_members[a as usize].push(i as u32);
         }
-        // Grow the anchor pool toward its size target by promoting the
-        // newest row; existing rows are never re-routed.
         if self.anchors.len() < target_anchor_count(i + 1) {
             self.anchors.push(i as u32);
             self.anchor_members.push(vec![i as u32]);
         }
+        self.routes.push(route);
     }
 
     /// Materializes the current graph (symmetrized CSR over all inserted
     /// rows). Rebuilding from the same edge list is deterministic, so the
     /// propagation stage sees identical graphs before and after a resume.
     pub fn graph(&self) -> SparseGraph {
-        SparseGraph::from_edges(self.n_rows, &self.edges)
+        SparseGraph::from_edges(self.n_rows(), &self.edges)
     }
 
-    /// Exports the full routing state for checkpointing. Does not move
-    /// the durable mark — pair with [`OnlineGraph::mark_durable`] when the
-    /// snapshot becomes a new delta-log base.
-    pub fn snapshot(&self) -> OnlineGraphState {
+    fn record_since(&self, rows: usize, edges: usize) -> OnlineGraphState {
         OnlineGraphState {
-            n_rows: self.n_rows,
-            anchors: self.anchors.clone(),
-            anchor_members: self.anchor_members.clone(),
-            edges: self.edges.clone(),
+            start_row: rows,
+            routes: self.routes[rows..].to_vec(),
+            edges: self.edges[edges..].to_vec(),
         }
+    }
+
+    /// The record of every row inserted so far: the whole graph. Does not
+    /// move the durable mark — pair with [`OnlineGraph::mark_durable`]
+    /// when the record becomes a new delta-log base.
+    pub fn snapshot(&self) -> OnlineGraphState {
+        self.record_since(0, 0)
     }
 
     /// Declares everything inserted so far durable: the next
-    /// [`OnlineGraph::export_delta`] reports only growth after this call.
+    /// [`OnlineGraph::export_delta`] reports only rows inserted after this
+    /// call.
     pub fn mark_durable(&mut self) {
-        self.mark_anchors = self.anchors.len();
-        self.mark_members = self.anchor_members.iter().map(Vec::len).collect();
+        self.mark_rows = self.routes.len();
         self.mark_edges = self.edges.len();
     }
 
-    /// Exports everything inserted since the last durable point — cost
-    /// proportional to the growth, not the graph — and advances the mark.
-    /// Inserting the same rows then exporting is deterministic, so a
-    /// replayed delta log reproduces [`OnlineGraph::snapshot`] exactly.
-    pub fn export_delta(&mut self) -> OnlineGraphDelta {
-        let new_edges = self.edges[self.mark_edges..].to_vec();
-        let mut member_appends = Vec::new();
-        for (idx, &old_len) in self.mark_members.iter().enumerate() {
-            if self.anchor_members[idx].len() > old_len {
-                member_appends.push((idx as u32, self.anchor_members[idx][old_len..].to_vec()));
-            }
-        }
-        let new_anchors = (self.mark_anchors..self.anchors.len())
-            .map(|i| (self.anchors[i], self.anchor_members[i].clone()))
-            .collect();
-        let delta =
-            OnlineGraphDelta { n_rows: self.n_rows, new_edges, member_appends, new_anchors };
+    /// The record of every row inserted since the last durable point —
+    /// cost proportional to the growth, not the graph — and advances the
+    /// mark.
+    pub fn export_delta(&mut self) -> OnlineGraphState {
+        let record = self.record_since(self.mark_rows, self.mark_edges);
         self.mark_durable();
-        delta
+        record
     }
 
-    /// Rebuilds a graph from an exported state; insertion resumes exactly
-    /// where the snapshot was taken. The routing parameters are not part
-    /// of the state and must match the original graph's.
+    /// Rebuilds a graph from a record of every row since row 0 (the fold
+    /// of a checkpoint's records); insertion resumes exactly where the
+    /// record ends. The routing parameters are not part of the record and
+    /// must match the original graph's.
     ///
     /// # Panics
-    /// Panics if the state's anchor and member lists disagree in length.
+    /// Panics if the record does not start at row 0 or routes a row to an
+    /// anchor that did not exist yet ([`OnlineGraphState::merge`] checks
+    /// both).
     pub fn from_snapshot(k: usize, state: OnlineGraphState) -> Self {
-        assert_eq!(
-            state.anchors.len(),
-            state.anchor_members.len(),
-            "anchor list and member lists disagree"
-        );
+        assert_eq!(state.start_row, 0, "graph record does not start at row 0");
         let mut g = OnlineGraph::new(k);
-        g.n_rows = state.n_rows;
-        g.anchors = state.anchors;
-        g.anchor_members = state.anchor_members;
+        for route in state.routes {
+            g.push_route(route);
+        }
         g.edges = state.edges;
         // Restored state came from a durable record: only growth past it
         // belongs in the next delta.
         g.mark_durable();
         g
-    }
-}
-
-impl OnlineGraphState {
-    /// Applies one exported delta in place: pure appends, so replaying a
-    /// base snapshot plus every delta in export order is bit-identical to
-    /// the live graph's [`OnlineGraph::snapshot`] at the same point.
-    ///
-    /// # Panics
-    /// Panics if the delta references an anchor index this state does not
-    /// have or rewinds `n_rows` — both mean the delta was exported against
-    /// a different base (callers decoding untrusted bytes must validate
-    /// first).
-    pub fn apply_delta(&mut self, delta: &OnlineGraphDelta) {
-        assert!(delta.n_rows >= self.n_rows, "delta rewinds n_rows");
-        self.n_rows = delta.n_rows;
-        self.edges.extend_from_slice(&delta.new_edges);
-        for (idx, members) in &delta.member_appends {
-            assert!((*idx as usize) < self.anchor_members.len(), "delta anchor out of range");
-            self.anchor_members[*idx as usize].extend_from_slice(members);
-        }
-        for (anchor, members) in &delta.new_anchors {
-            self.anchors.push(*anchor);
-            self.anchor_members.push(members.clone());
-        }
     }
 }
 
@@ -409,19 +411,33 @@ mod tests {
         assert_eq!(og.n_anchors(), target_anchor_count(600));
     }
 
+    /// The record check's anchor count equals the live graph's at every
+    /// row, across the 16-anchor floor and several target steps.
+    #[test]
+    fn anchors_before_matches_the_live_promotion_rule() {
+        let t = interleaved(700);
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        let mut og = OnlineGraph::new(4);
+        for end in 0..=t.len() {
+            og.insert_rows(&FrozenTable::freeze(&prefix_table(&t, end)), &cfg);
+            assert_eq!(og.n_anchors(), anchors_before(end), "after {end} rows");
+        }
+    }
+
     #[test]
     fn delta_replay_reproduces_the_snapshot_exactly() {
         let t = interleaved(200);
         let cfg = SimilarityConfig::uniform(vec![0]);
         let mut g = OnlineGraph::new(4);
-        // Base at row 40, then per-batch deltas replayed onto it.
+        // Base at row 40 folded onto an empty record, then per-batch
+        // deltas merged onto it.
         g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, 40)), &cfg);
-        let mut replayed = g.snapshot();
+        let mut replayed = OnlineGraphState::default();
+        replayed.merge(g.snapshot()).expect("base continues the empty record");
         g.mark_durable();
         for end in [55usize, 90, 130, 131, 200] {
             g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, end)), &cfg);
-            let delta = g.export_delta();
-            replayed.apply_delta(&delta);
+            replayed.merge(g.export_delta()).expect("delta continues the base");
             assert_eq!(replayed, g.snapshot(), "after replaying up to row {end}");
         }
     }
@@ -434,10 +450,9 @@ mod tests {
         g.insert_rows(&FrozenTable::freeze(&t), &cfg);
         let _ = g.export_delta();
         let idle = g.export_delta();
-        assert!(idle.new_edges.is_empty());
-        assert!(idle.member_appends.is_empty());
-        assert!(idle.new_anchors.is_empty());
-        assert_eq!(idle.n_rows, 80);
+        assert!(idle.routes.is_empty());
+        assert!(idle.edges.is_empty());
+        assert_eq!(idle.start_row, 80);
     }
 
     #[test]
@@ -456,6 +471,54 @@ mod tests {
         let mut resumed = OnlineGraph::from_snapshot(4, first.snapshot());
         resumed.insert_rows(&FrozenTable::freeze(&t), &cfg);
         assert_eq!(resumed.export_delta(), live_delta);
+
+        // A base written after deltas moved the mark: row 60 went out as a
+        // delta, the row-100 base is a fresh snapshot.
+        let mut live = OnlineGraph::new(4);
+        live.insert_rows(&FrozenTable::freeze(&prefix_table(&t, 60)), &cfg);
+        let _ = live.export_delta();
+        live.insert_rows(&FrozenTable::freeze(&prefix_table(&t, 100)), &cfg);
+        let base = live.snapshot();
+        live.mark_durable();
+        let mut resumed = OnlineGraph::from_snapshot(4, base);
+        assert_eq!(resumed.snapshot(), live.snapshot());
+        assert_eq!(resumed.graph(), live.graph());
+        live.insert_rows(&FrozenTable::freeze(&t), &cfg);
+        resumed.insert_rows(&FrozenTable::freeze(&t), &cfg);
+        assert_eq!(resumed.export_delta(), live.export_delta());
+    }
+
+    #[test]
+    fn merge_rejects_records_that_do_not_continue_the_graph() {
+        let t = interleaved(60);
+        let cfg = SimilarityConfig::uniform(vec![0]);
+        let mut g = OnlineGraph::new(4);
+        g.insert_rows(&FrozenTable::freeze(&prefix_table(&t, 40)), &cfg);
+        let base = g.export_delta();
+        g.insert_rows(&FrozenTable::freeze(&t), &cfg);
+        let delta = g.export_delta();
+        let mut gap = delta.clone();
+        gap.start_row += 1;
+        let mut early_anchor = delta.clone();
+        // Row 40 sees 16 anchors (target floor), so index 16 is unborn.
+        early_anchor.routes[0] = vec![16];
+        let mut foreign_edge = delta.clone();
+        foreign_edge.edges.push((39, 0, 0.5));
+        let mut future_edge = delta.clone();
+        future_edge.edges.push((45, 50, 0.5));
+        for bad in [gap, early_anchor, foreign_edge, future_edge] {
+            let mut state = OnlineGraphState::default();
+            state.merge(base.clone()).expect("base");
+            let before = state.clone();
+            assert_eq!(
+                state.merge(bad.clone()).map_err(|e| e.kind),
+                Err(ErrorKind::OutOfBounds),
+                "{bad:?}"
+            );
+            assert_eq!(state, before, "a rejected record must not change the state");
+            state.merge(delta.clone()).expect("the honest delta still applies");
+            assert_eq!(state, g.snapshot());
+        }
     }
 
     #[test]

@@ -4,38 +4,54 @@
 //!
 //! A checkpoint persists exactly the *arrival-dependent* state of a run:
 //! the stream cursor, the access-layer breaker/clock state, the curator's
-//! accumulated pool + votes + EM warm parameters + online-graph routing
-//! state, any queued/deferred/quarantined batches, and the telemetry
+//! accumulated pool + votes + EM warm parameters + online-graph routes,
+//! any queued/deferred/quarantined batches, and the telemetry
 //! accumulators. Everything clean-path (mined LFs, dev split, similarity
 //! scales, seed vertices, the text corpus) is re-derived deterministically
 //! on restart.
 //!
+//! ## One record type; the base is a fold
+//!
+//! Every frame holds one [`Checkpoint`] record, and every layer inside it
+//! has one record type ([`IncrementalState`] for the curator,
+//! [`OnlineGraphState`] for the propagation graph). Merging a record
+//! ([`Checkpoint::merge`]) only appends rows — pool rows, votes, graph
+//! routes and edges, batch statistics, latencies — or replaces scalars:
+//! cursor, access state, in-flight batches, EM parameters, counters. A
+//! base record ([`capture`], O(pool)) is the fold of every record since an
+//! empty run; a delta record ([`capture_delta`], O(batch)) holds what grew
+//! since the last durable record. Both go through one encoder and one
+//! decoder; the frame tag only marks which record is the base.
+//!
 //! ## Log layout and recovery contract
 //!
 //! A checkpoint file is `[header][base frame][delta frame]*`: a 4-byte
-//! magic + version varint ([`LOG_VERSION`]), then one [`Checkpoint`]
-//! encoded whole (O(pool)), then one [`TickDelta`] per tick (O(batch) —
-//! only what changed since the last durable record). Every frame carries
-//! a trailing FNV-1a 64 checksum, so a crash mid-append leaves a
-//! *detectably* torn tail: [`load_any`] replays base + deltas until the
-//! first truncated or corrupt frame, discards the tail, and resumes from
-//! the last complete record — bit-identical to a run that never wrote
-//! it. Base rewrites (compaction, policy in [`CompactionPolicy`]) go
-//! through a sibling temp file + atomic rename, so the base itself can
-//! never tear.
+//! magic + version varint ([`LOG_VERSION`]), then the base record, then
+//! one delta record per tick. Every frame carries a trailing FNV-1a 64
+//! checksum, so a crash mid-append leaves a *detectably* torn tail:
+//! [`load_any`] folds base + deltas until the first truncated, corrupt or
+//! ill-fitting frame, discards the tail, and resumes from the last
+//! complete record — bit-identical to a run that never wrote it. A
+//! checksum-valid record that does not fit the state it merges onto (pool
+//! or graph rows that skip or repeat, graph presence that flips, a route
+//! to an anchor that did not exist yet, an edge outside its rows) fails
+//! the merge with a typed [`CmError`] and is handled exactly like a
+//! corrupt tail. Base rewrites (compaction, policy in
+//! [`CompactionPolicy`]) go through a sibling temp file + atomic rename,
+//! so the base itself can never tear.
 //!
 //! All floats travel as raw IEEE-754 bits, so a restart resumes
 //! *bit-identical* to an uninterrupted run. Any file that does not open
-//! with the magic and the current version — including the JSON text
-//! checkpoints of earlier releases — is refused with an error and left
-//! untouched on disk.
+//! with the magic and the current version — earlier log versions and the
+//! JSON text checkpoints of earlier releases among them — is refused with
+//! an error and left untouched on disk.
 //!
-//! This module is the only place allowed to name [`Checkpoint`] or
-//! [`TickDelta`]: the `checkpoint-drift` lint bans both identifiers
-//! everywhere else, so checkpointed state can only be produced by
-//! [`capture`]/[`capture_delta`] and consumed through [`CheckpointStore`]
-//! — a token-level approximation of "no direct field access to
-//! checkpointed state outside the snapshot module".
+//! This module is the only place allowed to name [`Checkpoint`]: the
+//! `checkpoint-drift` lint bans the identifier everywhere else, so
+//! checkpointed state can only be produced by [`capture`]/[`capture_delta`]
+//! and consumed through [`CheckpointStore`] — a token-level approximation
+//! of "no direct field access to checkpointed state outside the snapshot
+//! module".
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -48,8 +64,8 @@ use cm_featurespace::{
 };
 use cm_labelmodel::WarmStart;
 use cm_orgsim::ModalityDataset;
-use cm_pipeline::{BatchStats, IncrementalDelta, IncrementalState};
-use cm_propagation::{OnlineGraphDelta, OnlineGraphState};
+use cm_pipeline::{BatchStats, IncrementalState};
+use cm_propagation::OnlineGraphState;
 use cm_wire::{append_frame, fnv1a64, read_frame, read_header, write_header, Reader, Writer};
 
 use crate::guards::QuarantinedBatch;
@@ -57,8 +73,9 @@ use crate::queue::{QueuedBatch, SheddingReport};
 
 /// Version of the checkpoint log (header varint after the magic); the
 /// loader rejects any other value. Bump whenever the serialized layout
-/// *or* the clean-path re-derivation contract changes.
-pub const LOG_VERSION: u32 = 2;
+/// *or* the clean-path re-derivation contract changes. Version 3: one
+/// record layout for base and delta frames, graph state as per-row routes.
+pub const LOG_VERSION: u32 = 3;
 
 /// Magic bytes opening every checkpoint file.
 const LOG_MAGIC: &[u8; 4] = b"CMCK";
@@ -100,7 +117,9 @@ pub struct ServeTelemetry {
     pub latencies_ms: Vec<u64>,
 }
 
-/// The complete persisted state of a service run after some tick.
+/// One checkpoint record of a service run: the whole persisted state
+/// after some tick when it is a base ([`capture`]), or what grew since the
+/// last durable record when it is a delta ([`capture_delta`]).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Ticks completed before this checkpoint was taken.
@@ -111,48 +130,54 @@ pub struct Checkpoint {
     pub rows_generated: usize,
     /// Access-layer breaker/clock/stats state.
     pub access: AccessState,
-    /// Arrival-dependent curator state.
+    /// The curator's record: pool rows from its `start_row` on.
     pub curator: IncrementalState,
     /// Batches in flight.
     pub pending: PendingWork,
-    /// Telemetry accumulators.
+    /// Telemetry accumulators; the vectors hold the record's entries only.
     pub telemetry: ServeTelemetry,
 }
 
-/// One tick's growth of the persisted state — the payload of a delta-log
-/// append record. Small state (clock, breakers, in-flight batches,
-/// telemetry scalars) rides whole; the curator and the telemetry vectors
-/// contribute only what was appended since the last durable record, so
-/// the record is O(batch) where [`Checkpoint`] is O(pool).
-#[derive(Debug, Clone)]
-pub struct TickDelta {
-    /// Ticks completed after this delta (absolute, for replay checks).
-    pub ticks: usize,
-    /// Stream cursor after this delta (absolute).
-    pub rows_generated: usize,
-    /// Full access-layer state (a handful of counters per service).
-    pub access: AccessState,
-    /// Curator growth since the last durable record.
-    pub curator: IncrementalDelta,
-    /// Full in-flight set (bounded by the admission-queue capacity).
-    pub pending: PendingWork,
-    /// Full admission-queue counters.
-    pub shed: SheddingReport,
-    /// Telemetry scalar: batches quarantined so far.
-    pub quarantined: usize,
-    /// Telemetry scalar: quarantined batches recovered so far.
-    pub recovered: usize,
-    /// Telemetry scalar: quarantined batches dropped so far.
-    pub dropped: usize,
-    /// Mean posterior entropy of the last ingested batch.
-    pub last_entropy: Option<f64>,
-    /// Batch statistics appended since the last durable record.
-    pub new_batch_stats: Vec<BatchStats>,
-    /// Latencies appended since the last durable record.
-    pub new_latencies_ms: Vec<u64>,
+impl Checkpoint {
+    /// The record of a run that has done nothing: what [`load_any`] folds
+    /// a log onto.
+    fn empty(schema: &Arc<FeatureSchema>, propagation: bool) -> Self {
+        Checkpoint {
+            ticks: 0,
+            rows_generated: 0,
+            access: AccessState { now_ms: 0, services: Vec::new() },
+            curator: IncrementalState::empty(Arc::clone(schema), propagation),
+            pending: PendingWork::default(),
+            telemetry: ServeTelemetry::default(),
+        }
+    }
+
+    /// Appends the next record: the curator's rows and the telemetry
+    /// vectors append, everything else is replaced.
+    ///
+    /// # Errors
+    /// Fails, leaving `self` unchanged, when the curator record does not
+    /// fit this state ([`IncrementalState::merge`]).
+    pub fn merge(&mut self, next: Checkpoint) -> CmResult<()> {
+        self.curator.merge(next.curator)?;
+        self.ticks = next.ticks;
+        self.rows_generated = next.rows_generated;
+        self.access = next.access;
+        self.pending = next.pending;
+        let (t, n) = (&mut self.telemetry, next.telemetry);
+        t.shed = n.shed;
+        t.quarantined = n.quarantined;
+        t.recovered = n.recovered;
+        t.dropped = n.dropped;
+        t.last_entropy = n.last_entropy;
+        t.batch_stats.extend(n.batch_stats);
+        t.latencies_ms.extend(n.latencies_ms);
+        Ok(())
+    }
 }
 
-/// Assembles a checkpoint from the service's live state.
+/// Assembles a base record from the service's live state: `curator` is
+/// the record since pool row 0 and `telemetry` holds every entry.
 pub fn capture(
     ticks: usize,
     rows_generated: usize,
@@ -164,50 +189,28 @@ pub fn capture(
     Checkpoint { ticks, rows_generated, access, curator, pending, telemetry }
 }
 
-/// Assembles one tick's delta record. `stats_durable` / `latencies_durable`
-/// are the telemetry vector lengths at the last durable record; everything
-/// past them is appended to the log.
+/// Assembles one tick's delta record: `curator` is the record since the
+/// last durable export, and `stats_durable` / `latencies_durable` are the
+/// telemetry vector lengths at the last durable record — only entries past
+/// them are kept.
 #[allow(clippy::too_many_arguments)]
 pub fn capture_delta(
     ticks: usize,
     rows_generated: usize,
     access: AccessState,
-    curator: IncrementalDelta,
+    curator: IncrementalState,
     pending: PendingWork,
     telemetry: &ServeTelemetry,
     stats_durable: usize,
     latencies_durable: usize,
-) -> TickDelta {
-    TickDelta {
-        ticks,
-        rows_generated,
-        access,
-        curator,
-        pending,
+) -> Checkpoint {
+    let telemetry = ServeTelemetry {
         shed: telemetry.shed.clone(),
-        quarantined: telemetry.quarantined,
-        recovered: telemetry.recovered,
-        dropped: telemetry.dropped,
-        last_entropy: telemetry.last_entropy,
-        new_batch_stats: telemetry.batch_stats[stats_durable..].to_vec(),
-        new_latencies_ms: telemetry.latencies_ms[latencies_durable..].to_vec(),
-    }
-}
-
-/// Applies one replayed delta record onto the accumulated checkpoint.
-fn apply_tick_delta(cp: &mut Checkpoint, d: TickDelta) {
-    cp.ticks = d.ticks;
-    cp.rows_generated = d.rows_generated;
-    cp.access = d.access;
-    cp.curator.apply_delta(&d.curator);
-    cp.pending = d.pending;
-    cp.telemetry.shed = d.shed;
-    cp.telemetry.quarantined = d.quarantined;
-    cp.telemetry.recovered = d.recovered;
-    cp.telemetry.dropped = d.dropped;
-    cp.telemetry.last_entropy = d.last_entropy;
-    cp.telemetry.batch_stats.extend(d.new_batch_stats);
-    cp.telemetry.latencies_ms.extend(d.new_latencies_ms);
+        batch_stats: telemetry.batch_stats[stats_durable..].to_vec(),
+        latencies_ms: telemetry.latencies_ms[latencies_durable..].to_vec(),
+        ..*telemetry
+    };
+    capture(ticks, rows_generated, access, curator, pending, telemetry)
 }
 
 // --- wire encoding -------------------------------------------------------
@@ -220,6 +223,65 @@ fn bad_wire(message: impl Into<String>) -> CmError {
     CmError::new(ErrorKind::InvalidConfig, "snapshot::wire", message.into())
 }
 
+/// Writes a length-prefixed list.
+fn enc_list<T>(w: &mut Writer, items: &[T], mut enc: impl FnMut(&mut Writer, &T)) {
+    w.usizev(items.len());
+    for item in items {
+        enc(w, item);
+    }
+}
+
+/// Reads a length-prefixed list. Every element takes at least one byte,
+/// so the capacity hint is capped by the bytes left: a forged length
+/// cannot force a huge allocation.
+fn dec_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut dec: impl FnMut(&mut Reader<'a>) -> CmResult<T>,
+) -> CmResult<Vec<T>> {
+    let n = r.usizev().map_err(wire_err)?;
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        out.push(dec(r)?);
+    }
+    Ok(out)
+}
+
+/// Writes an optional value behind a presence flag.
+fn enc_opt<T>(w: &mut Writer, value: Option<&T>, enc: impl FnOnce(&mut Writer, &T)) {
+    w.bool(value.is_some());
+    if let Some(v) = value {
+        enc(w, v);
+    }
+}
+
+/// Reads an optional value behind a presence flag.
+fn dec_opt<'a, T>(
+    r: &mut Reader<'a>,
+    dec: impl FnOnce(&mut Reader<'a>) -> CmResult<T>,
+) -> CmResult<Option<T>> {
+    if r.bool().map_err(wire_err)? {
+        dec(r).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+fn dec_u32(r: &mut Reader<'_>) -> CmResult<u32> {
+    r.u32v().map_err(wire_err)
+}
+
+fn dec_u64(r: &mut Reader<'_>) -> CmResult<u64> {
+    r.u64v().map_err(wire_err)
+}
+
+fn dec_usize(r: &mut Reader<'_>) -> CmResult<usize> {
+    r.usizev().map_err(wire_err)
+}
+
+fn dec_f64(r: &mut Reader<'_>) -> CmResult<f64> {
+    r.f64b().map_err(wire_err)
+}
+
 fn enc_value(w: &mut Writer, value: &FeatureValue) {
     match value {
         FeatureValue::Missing => w.u8(0),
@@ -229,18 +291,11 @@ fn enc_value(w: &mut Writer, value: &FeatureValue) {
         }
         FeatureValue::Categorical(set) => {
             w.u8(2);
-            let ids: Vec<u32> = set.iter().collect();
-            w.usizev(ids.len());
-            for id in ids {
-                w.u32v(id);
-            }
+            enc_list(w, &set.iter().collect::<Vec<u32>>(), |w, &id| w.u32v(id));
         }
         FeatureValue::Embedding(e) => {
             w.u8(3);
-            w.usizev(e.len());
-            for &x in e {
-                w.f32b(x);
-            }
+            enc_list(w, e, |w, &x| w.f32b(x));
         }
     }
 }
@@ -248,23 +303,15 @@ fn enc_value(w: &mut Writer, value: &FeatureValue) {
 fn dec_value(r: &mut Reader<'_>) -> CmResult<FeatureValue> {
     match r.u8().map_err(wire_err)? {
         0 => Ok(FeatureValue::Missing),
-        1 => Ok(FeatureValue::Numeric(r.f64b().map_err(wire_err)?)),
+        1 => Ok(FeatureValue::Numeric(dec_f64(r)?)),
         2 => {
-            let n = r.usizev().map_err(wire_err)?;
             let mut set = CatSet::new();
-            for _ in 0..n {
-                set.insert(r.u32v().map_err(wire_err)?);
+            for id in dec_list(r, dec_u32)? {
+                set.insert(id);
             }
             Ok(FeatureValue::Categorical(set))
         }
-        3 => {
-            let n = r.usizev().map_err(wire_err)?;
-            let mut e = Vec::with_capacity(n.min(r.remaining() / 4 + 1));
-            for _ in 0..n {
-                e.push(r.f32b().map_err(wire_err)?);
-            }
-            Ok(FeatureValue::Embedding(e))
-        }
+        3 => Ok(FeatureValue::Embedding(dec_list(r, |r| r.f32b().map_err(wire_err))?)),
         t => Err(bad_wire(format!("unknown feature-value tag {t}"))),
     }
 }
@@ -277,20 +324,10 @@ fn enc_dataset(w: &mut Writer, ds: &ModalityDataset) {
     });
     w.usizev(ds.table.len());
     for r in 0..ds.table.len() {
-        let row = ds.table.row(r);
-        w.usizev(row.len());
-        for v in &row {
-            enc_value(w, v);
-        }
+        enc_list(w, &ds.table.row(r), enc_value);
     }
-    w.usizev(ds.labels.len());
-    for l in &ds.labels {
-        w.u8(u8::from(l.is_positive()));
-    }
-    w.usizev(ds.borderline.len());
-    for &b in &ds.borderline {
-        w.bool(b);
-    }
+    enc_list(w, &ds.labels, |w, l| w.u8(u8::from(l.is_positive())));
+    enc_list(w, &ds.borderline, |w, &b| w.bool(b));
 }
 
 fn dec_dataset(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<ModalityDataset> {
@@ -300,29 +337,23 @@ fn dec_dataset(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<Moda
         2 => ModalityKind::Video,
         t => return Err(bad_wire(format!("unknown modality tag {t}"))),
     };
-    let n_rows = r.usizev().map_err(wire_err)?;
+    let n_rows = dec_usize(r)?;
     let mut table = FeatureTable::new(schema.clone());
     for _ in 0..n_rows {
-        let n_vals = r.usizev().map_err(wire_err)?;
-        let mut values = Vec::with_capacity(n_vals.min(r.remaining() + 1));
-        for _ in 0..n_vals {
-            values.push(dec_value(r)?);
-        }
-        table.push_row(&values);
+        table.try_push_row(&dec_list(r, dec_value)?)?;
     }
-    let n_labels = r.usizev().map_err(wire_err)?;
-    let mut labels = Vec::with_capacity(n_labels.min(r.remaining() + 1));
-    for _ in 0..n_labels {
-        labels.push(match r.u8().map_err(wire_err)? {
-            1 => Label::Positive,
-            0 => Label::Negative,
-            t => return Err(bad_wire(format!("unknown label byte {t}"))),
-        });
-    }
-    let n_border = r.usizev().map_err(wire_err)?;
-    let mut borderline = Vec::with_capacity(n_border.min(r.remaining() + 1));
-    for _ in 0..n_border {
-        borderline.push(r.bool().map_err(wire_err)?);
+    let labels = dec_list(r, |r| match r.u8().map_err(wire_err)? {
+        1 => Ok(Label::Positive),
+        0 => Ok(Label::Negative),
+        t => Err(bad_wire(format!("unknown label byte {t}"))),
+    })?;
+    let borderline = dec_list(r, |r| r.bool().map_err(wire_err))?;
+    if labels.len() != n_rows || borderline.len() != n_rows {
+        return Err(bad_wire(format!(
+            "dataset of {n_rows} rows carries {} labels and {} borderline flags",
+            labels.len(),
+            borderline.len()
+        )));
     }
     Ok(ModalityDataset { modality, table, labels, borderline })
 }
@@ -336,8 +367,8 @@ fn enc_queued(w: &mut Writer, item: &QueuedBatch) {
 fn dec_queued(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<QueuedBatch> {
     Ok(QueuedBatch {
         batch: dec_dataset(r, schema)?,
-        arrival_ms: r.u64v().map_err(wire_err)?,
-        deferrals: r.u32v().map_err(wire_err)?,
+        arrival_ms: dec_u64(r)?,
+        deferrals: dec_u32(r)?,
     })
 }
 
@@ -345,56 +376,30 @@ fn enc_quarantined(w: &mut Writer, q: &QuarantinedBatch) {
     enc_queued(w, &q.item);
     w.usizev(q.retry_tick);
     w.u32v(q.attempts);
-    w.usizev(q.reasons.len());
-    for reason in &q.reasons {
-        w.str(reason);
-    }
+    enc_list(w, &q.reasons, |w, reason| w.str(reason));
 }
 
 fn dec_quarantined(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<QuarantinedBatch> {
-    let item = dec_queued(r, schema)?;
-    let retry_tick = r.usizev().map_err(wire_err)?;
-    let attempts = r.u32v().map_err(wire_err)?;
-    let n = r.usizev().map_err(wire_err)?;
-    let mut reasons = Vec::with_capacity(n.min(r.remaining() + 1));
-    for _ in 0..n {
-        reasons.push(r.str().map_err(wire_err)?);
-    }
-    Ok(QuarantinedBatch { item, retry_tick, attempts, reasons })
+    Ok(QuarantinedBatch {
+        item: dec_queued(r, schema)?,
+        retry_tick: dec_usize(r)?,
+        attempts: dec_u32(r)?,
+        reasons: dec_list(r, |r| r.str().map_err(wire_err))?,
+    })
 }
 
 fn enc_pending(w: &mut Writer, p: &PendingWork) {
-    w.usizev(p.queue.len());
-    for item in &p.queue {
-        enc_queued(w, item);
-    }
-    w.usizev(p.deferred.len());
-    for item in &p.deferred {
-        enc_queued(w, item);
-    }
-    w.usizev(p.quarantine.len());
-    for q in &p.quarantine {
-        enc_quarantined(w, q);
-    }
+    enc_list(w, &p.queue, enc_queued);
+    enc_list(w, &p.deferred, enc_queued);
+    enc_list(w, &p.quarantine, enc_quarantined);
 }
 
 fn dec_pending(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<PendingWork> {
-    let n_queue = r.usizev().map_err(wire_err)?;
-    let mut queue = Vec::with_capacity(n_queue.min(64));
-    for _ in 0..n_queue {
-        queue.push(dec_queued(r, schema)?);
-    }
-    let n_def = r.usizev().map_err(wire_err)?;
-    let mut deferred = Vec::with_capacity(n_def.min(64));
-    for _ in 0..n_def {
-        deferred.push(dec_queued(r, schema)?);
-    }
-    let n_quar = r.usizev().map_err(wire_err)?;
-    let mut quarantine = Vec::with_capacity(n_quar.min(64));
-    for _ in 0..n_quar {
-        quarantine.push(dec_quarantined(r, schema)?);
-    }
-    Ok(PendingWork { queue, deferred, quarantine })
+    Ok(PendingWork {
+        queue: dec_list(r, |r| dec_queued(r, schema))?,
+        deferred: dec_list(r, |r| dec_queued(r, schema))?,
+        quarantine: dec_list(r, |r| dec_quarantined(r, schema))?,
+    })
 }
 
 fn enc_service_stats(w: &mut Writer, s: &ServiceStats) {
@@ -420,268 +425,99 @@ fn enc_service_stats(w: &mut Writer, s: &ServiceStats) {
 }
 
 fn dec_service_stats(r: &mut Reader<'_>) -> CmResult<ServiceStats> {
-    let name = r.str().map_err(wire_err)?;
-    let mode = r.str().map_err(wire_err)?;
-    let rate = r.f64b().map_err(wire_err)?;
-    let mut counters = [0u64; 11];
-    for c in &mut counters {
-        *c = r.u64v().map_err(wire_err)?;
-    }
-    let tripped = r.bool().map_err(wire_err)?;
     Ok(ServiceStats {
-        name,
-        mode,
-        rate,
-        calls: counters[0],
-        faulted: counters[1],
-        recovered: counters[2],
-        lost: counters[3],
-        corrupt_detected: counters[4],
-        stale_served: counters[5],
-        short_circuited: counters[6],
-        probes: counters[7],
-        reopened: counters[8],
-        retries: counters[9],
-        sim_wait_ms: counters[10],
-        tripped,
+        name: r.str().map_err(wire_err)?,
+        mode: r.str().map_err(wire_err)?,
+        rate: dec_f64(r)?,
+        calls: dec_u64(r)?,
+        faulted: dec_u64(r)?,
+        recovered: dec_u64(r)?,
+        lost: dec_u64(r)?,
+        corrupt_detected: dec_u64(r)?,
+        stale_served: dec_u64(r)?,
+        short_circuited: dec_u64(r)?,
+        probes: dec_u64(r)?,
+        reopened: dec_u64(r)?,
+        retries: dec_u64(r)?,
+        sim_wait_ms: dec_u64(r)?,
+        tripped: r.bool().map_err(wire_err)?,
     })
 }
 
 fn enc_access(w: &mut Writer, a: &AccessState) {
     w.u64v(a.now_ms);
-    w.usizev(a.services.len());
-    for s in &a.services {
+    enc_list(w, &a.services, |w, s| {
         w.str(&s.name);
         w.u32v(s.consecutive_lost);
         w.bool(s.open);
         w.u64v(s.opened_at_ms);
-        match &s.snapshot {
-            None => w.bool(false),
-            Some(v) => {
-                w.bool(true);
-                enc_value(w, v);
-            }
-        }
+        enc_opt(w, s.snapshot.as_ref(), enc_value);
         enc_service_stats(w, &s.stats);
-    }
+    });
 }
 
 fn dec_access(r: &mut Reader<'_>) -> CmResult<AccessState> {
-    let now_ms = r.u64v().map_err(wire_err)?;
-    let n = r.usizev().map_err(wire_err)?;
-    let mut services = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let name = r.str().map_err(wire_err)?;
-        let consecutive_lost = r.u32v().map_err(wire_err)?;
-        let open = r.bool().map_err(wire_err)?;
-        let opened_at_ms = r.u64v().map_err(wire_err)?;
-        let snapshot = if r.bool().map_err(wire_err)? { Some(dec_value(r)?) } else { None };
-        let stats = dec_service_stats(r)?;
-        services.push(ServiceAccessState {
-            name,
-            consecutive_lost,
-            open,
-            opened_at_ms,
-            snapshot,
-            stats,
-        });
-    }
-    Ok(AccessState { now_ms, services })
-}
-
-fn enc_warm(w: &mut Writer, warm: &Option<WarmStart>) {
-    match warm {
-        None => w.bool(false),
-        Some(ws) => {
-            w.bool(true);
-            w.usizev(ws.accuracies.len());
-            for &a in &ws.accuracies {
-                w.f64b(a);
-            }
-            w.f64b(ws.class_prior);
-        }
-    }
-}
-
-fn dec_warm(r: &mut Reader<'_>) -> CmResult<Option<WarmStart>> {
-    if !r.bool().map_err(wire_err)? {
-        return Ok(None);
-    }
-    let n = r.usizev().map_err(wire_err)?;
-    let mut accuracies = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        accuracies.push(r.f64b().map_err(wire_err)?);
-    }
-    Ok(Some(WarmStart { accuracies, class_prior: r.f64b().map_err(wire_err)? }))
-}
-
-fn enc_u32_list(w: &mut Writer, list: &[u32]) {
-    w.usizev(list.len());
-    for &v in list {
-        w.u32v(v);
-    }
-}
-
-fn dec_u32_list(r: &mut Reader<'_>) -> CmResult<Vec<u32>> {
-    let n = r.usizev().map_err(wire_err)?;
-    let mut out = Vec::with_capacity(n.min(r.remaining() + 1));
-    for _ in 0..n {
-        out.push(r.u32v().map_err(wire_err)?);
-    }
-    Ok(out)
-}
-
-fn enc_edges(w: &mut Writer, edges: &[(u32, u32, f32)]) {
-    w.usizev(edges.len());
-    for &(a, b, weight) in edges {
-        w.u32v(a);
-        w.u32v(b);
-        w.f32b(weight);
-    }
-}
-
-fn dec_edges(r: &mut Reader<'_>) -> CmResult<Vec<(u32, u32, f32)>> {
-    let n = r.usizev().map_err(wire_err)?;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 12 + 1));
-    for _ in 0..n {
-        out.push((
-            r.u32v().map_err(wire_err)?,
-            r.u32v().map_err(wire_err)?,
-            r.f32b().map_err(wire_err)?,
-        ));
-    }
-    Ok(out)
-}
-
-fn enc_graph(w: &mut Writer, g: &Option<OnlineGraphState>) {
-    match g {
-        None => w.bool(false),
-        Some(g) => {
-            w.bool(true);
-            w.usizev(g.n_rows);
-            enc_u32_list(w, &g.anchors);
-            w.usizev(g.anchor_members.len());
-            for m in &g.anchor_members {
-                enc_u32_list(w, m);
-            }
-            enc_edges(w, &g.edges);
-        }
-    }
-}
-
-fn dec_graph(r: &mut Reader<'_>) -> CmResult<Option<OnlineGraphState>> {
-    if !r.bool().map_err(wire_err)? {
-        return Ok(None);
-    }
-    let n_rows = r.usizev().map_err(wire_err)?;
-    let anchors = dec_u32_list(r)?;
-    let n = r.usizev().map_err(wire_err)?;
-    let mut anchor_members = Vec::with_capacity(n.min(r.remaining() + 1));
-    for _ in 0..n {
-        anchor_members.push(dec_u32_list(r)?);
-    }
-    let edges = dec_edges(r)?;
-    Ok(Some(OnlineGraphState { n_rows, anchors, anchor_members, edges }))
-}
-
-fn enc_graph_delta(w: &mut Writer, g: &Option<OnlineGraphDelta>) {
-    match g {
-        None => w.bool(false),
-        Some(d) => {
-            w.bool(true);
-            w.usizev(d.n_rows);
-            enc_edges(w, &d.new_edges);
-            w.usizev(d.member_appends.len());
-            for (idx, members) in &d.member_appends {
-                w.u32v(*idx);
-                enc_u32_list(w, members);
-            }
-            w.usizev(d.new_anchors.len());
-            for (anchor, members) in &d.new_anchors {
-                w.u32v(*anchor);
-                enc_u32_list(w, members);
-            }
-        }
-    }
-}
-
-fn dec_graph_delta(r: &mut Reader<'_>) -> CmResult<Option<OnlineGraphDelta>> {
-    if !r.bool().map_err(wire_err)? {
-        return Ok(None);
-    }
-    let n_rows = r.usizev().map_err(wire_err)?;
-    let new_edges = dec_edges(r)?;
-    let n_app = r.usizev().map_err(wire_err)?;
-    let mut member_appends = Vec::with_capacity(n_app.min(r.remaining() + 1));
-    for _ in 0..n_app {
-        let idx = r.u32v().map_err(wire_err)?;
-        member_appends.push((idx, dec_u32_list(r)?));
-    }
-    let n_new = r.usizev().map_err(wire_err)?;
-    let mut new_anchors = Vec::with_capacity(n_new.min(r.remaining() + 1));
-    for _ in 0..n_new {
-        let anchor = r.u32v().map_err(wire_err)?;
-        new_anchors.push((anchor, dec_u32_list(r)?));
-    }
-    Ok(Some(OnlineGraphDelta { n_rows, new_edges, member_appends, new_anchors }))
-}
-
-fn enc_votes(w: &mut Writer, votes: &[i8]) {
-    w.usizev(votes.len());
-    for &v in votes {
-        w.u8(v as u8);
-    }
-}
-
-fn dec_votes(r: &mut Reader<'_>) -> CmResult<Vec<i8>> {
-    let n = r.usizev().map_err(wire_err)?;
-    let raw = r.take(n).map_err(wire_err)?;
-    Ok(raw.iter().map(|&b| b as i8).collect())
-}
-
-fn enc_incremental_state(w: &mut Writer, s: &IncrementalState) {
-    w.usizev(s.n_batches);
-    enc_dataset(w, &s.pool);
-    enc_votes(w, &s.votes);
-    enc_warm(w, &s.em_warm);
-    w.usizev(s.em_iterations);
-    enc_graph(w, &s.graph);
-}
-
-fn dec_incremental_state(
-    r: &mut Reader<'_>,
-    schema: &Arc<FeatureSchema>,
-) -> CmResult<IncrementalState> {
-    Ok(IncrementalState {
-        n_batches: r.usizev().map_err(wire_err)?,
-        pool: dec_dataset(r, schema)?,
-        votes: dec_votes(r)?,
-        em_warm: dec_warm(r)?,
-        em_iterations: r.usizev().map_err(wire_err)?,
-        graph: dec_graph(r)?,
+    Ok(AccessState {
+        now_ms: dec_u64(r)?,
+        services: dec_list(r, |r| {
+            Ok(ServiceAccessState {
+                name: r.str().map_err(wire_err)?,
+                consecutive_lost: dec_u32(r)?,
+                open: r.bool().map_err(wire_err)?,
+                opened_at_ms: dec_u64(r)?,
+                snapshot: dec_opt(r, dec_value)?,
+                stats: dec_service_stats(r)?,
+            })
+        })?,
     })
 }
 
-fn enc_incremental_delta(w: &mut Writer, d: &IncrementalDelta) {
-    w.usizev(d.n_batches);
-    enc_dataset(w, &d.new_rows);
-    enc_votes(w, &d.new_votes);
-    enc_warm(w, &d.em_warm);
-    w.usizev(d.em_iterations);
-    enc_graph_delta(w, &d.graph);
+fn enc_warm(w: &mut Writer, ws: &WarmStart) {
+    enc_list(w, &ws.accuracies, |w, &a| w.f64b(a));
+    w.f64b(ws.class_prior);
 }
 
-fn dec_incremental_delta(
-    r: &mut Reader<'_>,
-    schema: &Arc<FeatureSchema>,
-) -> CmResult<IncrementalDelta> {
-    Ok(IncrementalDelta {
-        n_batches: r.usizev().map_err(wire_err)?,
-        new_rows: dec_dataset(r, schema)?,
-        new_votes: dec_votes(r)?,
-        em_warm: dec_warm(r)?,
-        em_iterations: r.usizev().map_err(wire_err)?,
-        graph: dec_graph_delta(r)?,
+fn dec_warm(r: &mut Reader<'_>) -> CmResult<WarmStart> {
+    Ok(WarmStart { accuracies: dec_list(r, dec_f64)?, class_prior: dec_f64(r)? })
+}
+
+fn enc_graph_record(w: &mut Writer, g: &OnlineGraphState) {
+    w.usizev(g.start_row);
+    enc_list(w, &g.routes, |w, route| enc_list(w, route, |w, &a| w.u32v(a)));
+    enc_list(w, &g.edges, |w, &(a, b, weight)| {
+        w.u32v(a);
+        w.u32v(b);
+        w.f32b(weight);
+    });
+}
+
+fn dec_graph_record(r: &mut Reader<'_>) -> CmResult<OnlineGraphState> {
+    Ok(OnlineGraphState {
+        start_row: dec_usize(r)?,
+        routes: dec_list(r, |r| dec_list(r, dec_u32))?,
+        edges: dec_list(r, |r| Ok((dec_u32(r)?, dec_u32(r)?, r.f32b().map_err(wire_err)?)))?,
+    })
+}
+
+fn enc_curator(w: &mut Writer, s: &IncrementalState) {
+    w.usizev(s.n_batches);
+    w.usizev(s.start_row);
+    enc_dataset(w, &s.pool);
+    enc_list(w, &s.votes, |w, &v| w.u8(v as u8));
+    enc_opt(w, s.em_warm.as_ref(), enc_warm);
+    w.usizev(s.em_iterations);
+    enc_opt(w, s.graph.as_ref(), enc_graph_record);
+}
+
+fn dec_curator(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<IncrementalState> {
+    Ok(IncrementalState {
+        n_batches: dec_usize(r)?,
+        start_row: dec_usize(r)?,
+        pool: dec_dataset(r, schema)?,
+        votes: r.bytes().map_err(wire_err)?.iter().map(|&b| b as i8).collect(),
+        em_warm: dec_opt(r, dec_warm)?,
+        em_iterations: dec_usize(r)?,
+        graph: dec_opt(r, dec_graph_record)?,
     })
 }
 
@@ -697,197 +533,93 @@ fn enc_batch_stats(w: &mut Writer, s: &BatchStats) {
 
 fn dec_batch_stats(r: &mut Reader<'_>) -> CmResult<BatchStats> {
     Ok(BatchStats {
-        batch_index: r.usizev().map_err(wire_err)?,
-        rows: r.usizev().map_err(wire_err)?,
-        total_rows: r.usizev().map_err(wire_err)?,
-        coverage: r.f64b().map_err(wire_err)?,
-        abstain_rate: r.f64b().map_err(wire_err)?,
-        mean_entropy: r.f64b().map_err(wire_err)?,
-        em_iterations: r.usizev().map_err(wire_err)?,
+        batch_index: dec_usize(r)?,
+        rows: dec_usize(r)?,
+        total_rows: dec_usize(r)?,
+        coverage: dec_f64(r)?,
+        abstain_rate: dec_f64(r)?,
+        mean_entropy: dec_f64(r)?,
+        em_iterations: dec_usize(r)?,
     })
 }
 
-fn enc_shed(w: &mut Writer, s: &SheddingReport) {
+fn enc_telemetry(w: &mut Writer, t: &ServeTelemetry) {
+    let s = &t.shed;
     for v in
         [s.offered, s.admitted, s.deferred, s.shed_batches, s.shed_rows, s.peak_depth, s.peak_bytes]
     {
         w.usizev(v);
     }
-}
-
-fn dec_shed(r: &mut Reader<'_>) -> CmResult<SheddingReport> {
-    let mut vals = [0usize; 7];
-    for v in &mut vals {
-        *v = r.usizev().map_err(wire_err)?;
-    }
-    Ok(SheddingReport {
-        offered: vals[0],
-        admitted: vals[1],
-        deferred: vals[2],
-        shed_batches: vals[3],
-        shed_rows: vals[4],
-        peak_depth: vals[5],
-        peak_bytes: vals[6],
-    })
-}
-
-fn enc_opt_f64(w: &mut Writer, v: Option<f64>) {
-    match v {
-        None => w.bool(false),
-        Some(x) => {
-            w.bool(true);
-            w.f64b(x);
-        }
-    }
-}
-
-fn dec_opt_f64(r: &mut Reader<'_>) -> CmResult<Option<f64>> {
-    if r.bool().map_err(wire_err)? {
-        Ok(Some(r.f64b().map_err(wire_err)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn enc_telemetry(w: &mut Writer, t: &ServeTelemetry) {
-    enc_shed(w, &t.shed);
     w.usizev(t.quarantined);
     w.usizev(t.recovered);
     w.usizev(t.dropped);
-    enc_opt_f64(w, t.last_entropy);
-    w.usizev(t.batch_stats.len());
-    for s in &t.batch_stats {
-        enc_batch_stats(w, s);
-    }
-    w.usizev(t.latencies_ms.len());
-    for &l in &t.latencies_ms {
-        w.u64v(l);
-    }
+    enc_opt(w, t.last_entropy.as_ref(), |w, &x| w.f64b(x));
+    enc_list(w, &t.batch_stats, enc_batch_stats);
+    enc_list(w, &t.latencies_ms, |w, &l| w.u64v(l));
 }
 
 fn dec_telemetry(r: &mut Reader<'_>) -> CmResult<ServeTelemetry> {
-    let shed = dec_shed(r)?;
-    let quarantined = r.usizev().map_err(wire_err)?;
-    let recovered = r.usizev().map_err(wire_err)?;
-    let dropped = r.usizev().map_err(wire_err)?;
-    let last_entropy = dec_opt_f64(r)?;
-    let n_stats = r.usizev().map_err(wire_err)?;
-    let mut batch_stats = Vec::with_capacity(n_stats.min(r.remaining() + 1));
-    for _ in 0..n_stats {
-        batch_stats.push(dec_batch_stats(r)?);
-    }
-    let n_lat = r.usizev().map_err(wire_err)?;
-    let mut latencies_ms = Vec::with_capacity(n_lat.min(r.remaining() + 1));
-    for _ in 0..n_lat {
-        latencies_ms.push(r.u64v().map_err(wire_err)?);
-    }
     Ok(ServeTelemetry {
-        shed,
-        quarantined,
-        recovered,
-        dropped,
-        last_entropy,
-        batch_stats,
-        latencies_ms,
+        shed: SheddingReport {
+            offered: dec_usize(r)?,
+            admitted: dec_usize(r)?,
+            deferred: dec_usize(r)?,
+            shed_batches: dec_usize(r)?,
+            shed_rows: dec_usize(r)?,
+            peak_depth: dec_usize(r)?,
+            peak_bytes: dec_usize(r)?,
+        },
+        quarantined: dec_usize(r)?,
+        recovered: dec_usize(r)?,
+        dropped: dec_usize(r)?,
+        last_entropy: dec_opt(r, dec_f64)?,
+        batch_stats: dec_list(r, dec_batch_stats)?,
+        latencies_ms: dec_list(r, dec_u64)?,
     })
 }
 
-/// Encodes a complete wire-format file: header + one base frame.
-fn encode_base_file(cp: &Checkpoint) -> Vec<u8> {
+/// Appends one record to `out` as a frame with the given tag.
+fn append_record(out: &mut Writer, tag: u8, cp: &Checkpoint) {
     let mut payload = Writer::new();
     payload.usizev(cp.ticks);
     payload.usizev(cp.rows_generated);
     enc_access(&mut payload, &cp.access);
-    enc_incremental_state(&mut payload, &cp.curator);
+    enc_curator(&mut payload, &cp.curator);
     enc_pending(&mut payload, &cp.pending);
     enc_telemetry(&mut payload, &cp.telemetry);
+    append_frame(out, tag, payload.as_bytes());
+}
+
+/// Encodes a complete wire-format file: header + one base frame.
+fn encode_base_file(cp: &Checkpoint) -> Vec<u8> {
     let mut out = Writer::new();
     write_header(&mut out, LOG_MAGIC, LOG_VERSION);
-    append_frame(&mut out, TAG_BASE, payload.as_bytes());
+    append_record(&mut out, TAG_BASE, cp);
     out.into_bytes()
 }
 
-fn dec_base_payload(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Checkpoint> {
+/// Encodes one delta frame (no header — appended to an existing file).
+fn encode_delta_frame(cp: &Checkpoint) -> Vec<u8> {
+    let mut out = Writer::new();
+    append_record(&mut out, TAG_DELTA, cp);
+    out.into_bytes()
+}
+
+/// Decodes one record's payload, base and delta alike.
+fn dec_record(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Checkpoint> {
     let mut r = Reader::new(payload);
     let cp = Checkpoint {
         ticks: r.usizev().map_err(wire_err)?,
         rows_generated: r.usizev().map_err(wire_err)?,
         access: dec_access(&mut r)?,
-        curator: dec_incremental_state(&mut r, schema)?,
+        curator: dec_curator(&mut r, schema)?,
         pending: dec_pending(&mut r, schema)?,
         telemetry: dec_telemetry(&mut r)?,
     };
     if !r.is_empty() {
-        return Err(bad_wire(format!("{} trailing bytes after base record", r.remaining())));
+        return Err(bad_wire(format!("{} trailing bytes after record", r.remaining())));
     }
     Ok(cp)
-}
-
-/// Encodes one delta frame (no header — appended to an existing file).
-fn encode_delta_frame(d: &TickDelta) -> Vec<u8> {
-    let mut payload = Writer::new();
-    payload.usizev(d.ticks);
-    payload.usizev(d.rows_generated);
-    enc_access(&mut payload, &d.access);
-    enc_incremental_delta(&mut payload, &d.curator);
-    enc_pending(&mut payload, &d.pending);
-    enc_shed(&mut payload, &d.shed);
-    payload.usizev(d.quarantined);
-    payload.usizev(d.recovered);
-    payload.usizev(d.dropped);
-    enc_opt_f64(&mut payload, d.last_entropy);
-    payload.usizev(d.new_batch_stats.len());
-    for s in &d.new_batch_stats {
-        enc_batch_stats(&mut payload, s);
-    }
-    payload.usizev(d.new_latencies_ms.len());
-    for &l in &d.new_latencies_ms {
-        payload.u64v(l);
-    }
-    let mut out = Writer::new();
-    append_frame(&mut out, TAG_DELTA, payload.as_bytes());
-    out.into_bytes()
-}
-
-fn dec_delta_payload(payload: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<TickDelta> {
-    let mut r = Reader::new(payload);
-    let ticks = r.usizev().map_err(wire_err)?;
-    let rows_generated = r.usizev().map_err(wire_err)?;
-    let access = dec_access(&mut r)?;
-    let curator = dec_incremental_delta(&mut r, schema)?;
-    let pending = dec_pending(&mut r, schema)?;
-    let shed = dec_shed(&mut r)?;
-    let quarantined = r.usizev().map_err(wire_err)?;
-    let recovered = r.usizev().map_err(wire_err)?;
-    let dropped = r.usizev().map_err(wire_err)?;
-    let last_entropy = dec_opt_f64(&mut r)?;
-    let n_stats = r.usizev().map_err(wire_err)?;
-    let mut new_batch_stats = Vec::with_capacity(n_stats.min(r.remaining() + 1));
-    for _ in 0..n_stats {
-        new_batch_stats.push(dec_batch_stats(&mut r)?);
-    }
-    let n_lat = r.usizev().map_err(wire_err)?;
-    let mut new_latencies_ms = Vec::with_capacity(n_lat.min(r.remaining() + 1));
-    for _ in 0..n_lat {
-        new_latencies_ms.push(r.u64v().map_err(wire_err)?);
-    }
-    if !r.is_empty() {
-        return Err(bad_wire(format!("{} trailing bytes after delta record", r.remaining())));
-    }
-    Ok(TickDelta {
-        ticks,
-        rows_generated,
-        access,
-        curator,
-        pending,
-        shed,
-        quarantined,
-        recovered,
-        dropped,
-        last_entropy,
-        new_batch_stats,
-        new_latencies_ms,
-    })
 }
 
 // --- log recovery --------------------------------------------------------
@@ -910,15 +642,17 @@ pub struct RecoveredLog {
 
 /// Recovers a checkpoint from raw file bytes.
 ///
-/// Replays base + deltas until the first truncated or corrupt frame; the
-/// torn tail is *discarded* (reported via `valid_bytes`), recovering to
-/// the last durable tick. A torn or corrupt **base** frame is
+/// Folds the base and then every delta onto the empty record until the
+/// first truncated, corrupt or ill-fitting frame; that tail is
+/// *discarded* (reported via `valid_bytes`), recovering to the last
+/// durable tick. A torn, corrupt or ill-fitting **base** frame is
 /// unrecoverable and errors — base rewrites are atomic, so only
 /// deliberate corruption produces one.
 ///
 /// # Errors
-/// Fails on a bad magic/version header (a JSON text checkpoint from an
-/// earlier release among them) or a torn or corrupt base frame.
+/// Fails on a bad magic/version header (earlier log versions and JSON
+/// text checkpoints among them) or a base frame that is torn, corrupt or
+/// not a record since an empty run.
 pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<RecoveredLog> {
     let mut r = Reader::new(bytes);
     let version = read_header(&mut r, LOG_MAGIC).map_err(wire_err)?;
@@ -931,21 +665,27 @@ pub fn load_any(bytes: &[u8], schema: &Arc<FeatureSchema>) -> CmResult<Recovered
     if base.tag != TAG_BASE {
         return Err(bad_wire(format!("first frame has tag {} (expected base)", base.tag)));
     }
-    let mut checkpoint = dec_base_payload(base.payload, schema)?;
+    let base = dec_record(base.payload, schema)?;
+    let mut checkpoint = Checkpoint::empty(schema, base.curator.graph.is_some());
+    checkpoint.merge(base)?;
     let base_bytes = r.pos();
     let mut valid_bytes = base_bytes;
     let mut deltas = 0usize;
     while !r.is_empty() {
         // A torn or corrupt tail record — torn mid-append by a crash, or
-        // deliberately bit-flipped — fails the frame checksum (or payload
-        // decode) and everything from it on is discarded.
+        // deliberately bit-flipped — fails the frame checksum or payload
+        // decode; a checksum-valid record that does not fit the state
+        // fails the merge, which leaves the state untouched. Everything
+        // from such a record on is discarded.
         let mut attempt = r.clone();
         let Ok(frame) = read_frame(&mut attempt) else { break };
         if frame.tag != TAG_DELTA {
             break;
         }
-        let Ok(delta) = dec_delta_payload(frame.payload, schema) else { break };
-        apply_tick_delta(&mut checkpoint, delta);
+        let Ok(delta) = dec_record(frame.payload, schema) else { break };
+        if checkpoint.merge(delta).is_err() {
+            break;
+        }
         r = attempt;
         valid_bytes = r.pos();
         deltas += 1;
@@ -1087,7 +827,7 @@ impl CheckpointStore {
     ///
     /// # Errors
     /// Fails if no base has been committed, and on filesystem errors.
-    pub fn commit_delta(&mut self, delta: &TickDelta) -> CmResult<usize> {
+    pub fn commit_delta(&mut self, delta: &Checkpoint) -> CmResult<usize> {
         if self.base_bytes == 0 {
             return Err(CmError::new(
                 ErrorKind::InvalidConfig,
@@ -1194,6 +934,7 @@ mod tests {
             },
             IncrementalState {
                 n_batches: 3,
+                start_row: 0,
                 pool: ds.clone(),
                 votes: vec![1, 0, -1, 1, 0, -1],
                 em_warm: Some(WarmStart {
@@ -1201,10 +942,10 @@ mod tests {
                     class_prior: 0.123_456_789,
                 }),
                 em_iterations: 20,
+                // Rows 0..5 of the graph: row `i` sees `i` anchors.
                 graph: Some(OnlineGraphState {
-                    n_rows: 5,
-                    anchors: vec![0, 3],
-                    anchor_members: vec![vec![0, 1, 4], vec![2, 3]],
+                    start_row: 0,
+                    routes: vec![vec![], vec![0], vec![1, 0], vec![2], vec![0, 3]],
                     edges: vec![(1, 0, 0.25), (4, 3, 0.125)],
                 }),
             },
@@ -1243,24 +984,24 @@ mod tests {
         )
     }
 
-    fn delta_fixture(base: &Checkpoint) -> TickDelta {
+    fn delta_fixture(base: &Checkpoint) -> Checkpoint {
         let schema = schema();
         let ds = dataset(&schema);
         capture_delta(
             base.ticks + 1,
             base.rows_generated + 2,
             AccessState { now_ms: 990, services: base.access.services.clone() },
-            IncrementalDelta {
+            IncrementalState {
                 n_batches: base.curator.n_batches + 1,
-                new_rows: ds,
-                new_votes: vec![1, -1, 0, 0, 1, -1],
+                start_row: base.curator.pool.len(),
+                pool: ds,
+                votes: vec![1, -1, 0, 0, 1, -1],
                 em_warm: Some(WarmStart { accuracies: vec![0.5, 0.625, 0.75], class_prior: 0.25 }),
                 em_iterations: 11,
-                graph: Some(OnlineGraphDelta {
-                    n_rows: 7,
-                    new_edges: vec![(5, 0, 0.5), (6, 3, 0.0625)],
-                    member_appends: vec![(0, vec![5]), (1, vec![6])],
-                    new_anchors: vec![(6, vec![6])],
+                graph: Some(OnlineGraphState {
+                    start_row: 5,
+                    routes: vec![vec![0, 4], vec![1]],
+                    edges: vec![(5, 0, 0.5), (6, 3, 0.0625)],
                 }),
             },
             PendingWork::default(),
@@ -1329,9 +1070,9 @@ mod tests {
         assert_eq!(got.telemetry.batch_stats.len(), 2);
         assert_eq!(got.telemetry.latencies_ms, vec![15, 30, 45]);
         let graph = got.curator.graph.expect("graph");
-        assert_eq!(graph.n_rows, 7);
-        assert_eq!(graph.anchors, vec![0, 3, 6]);
-        assert_eq!(graph.anchor_members, vec![vec![0, 1, 4, 5], vec![2, 3, 6], vec![6]]);
+        assert_eq!(graph.start_row, 0);
+        assert_eq!(graph.routes.len(), 7);
+        assert_eq!(graph.routes[5], vec![0, 4]);
         assert_eq!(graph.edges.len(), 4);
     }
 
@@ -1375,6 +1116,56 @@ mod tests {
         }
     }
 
+    /// The delta's frame with the first payload byte where encoding the
+    /// `edit`ed delta differs changed to the edited value, resealed with a
+    /// fresh checksum: a checksum-valid frame one byte away from the
+    /// honest one.
+    fn resealed(delta: &Checkpoint, edit: impl FnOnce(&mut Checkpoint)) -> Vec<u8> {
+        let payload = |cp: &Checkpoint| {
+            let frame = encode_delta_frame(cp);
+            read_frame(&mut Reader::new(&frame)).expect("frame").payload.to_vec()
+        };
+        let mut edited = delta.clone();
+        edit(&mut edited);
+        let (mut bytes, changed) = (payload(delta), payload(&edited));
+        let at = bytes.iter().zip(&changed).position(|(a, b)| a != b).expect("edit changes bytes");
+        bytes[at] = changed[at];
+        let mut out = Writer::new();
+        append_frame(&mut out, TAG_DELTA, &bytes);
+        out.into_bytes()
+    }
+
+    #[test]
+    fn resealed_delta_that_does_not_fit_recovers_to_the_base() {
+        let cp = fixture();
+        let delta = delta_fixture(&cp);
+        let base = encode_base_file(&cp);
+        let reference = load_any(&base, &schema()).expect("base only");
+        fn graph(d: &mut Checkpoint) -> &mut OnlineGraphState {
+            d.curator.graph.as_mut().expect("graph")
+        }
+        let edits: [(&str, Box<dyn FnOnce(&mut Checkpoint)>); 5] = [
+            ("graph-presence byte", Box::new(|d| d.curator.graph = None)),
+            // Row 6 is inserted with 6 anchors in the pool.
+            ("anchor index", Box::new(|d| graph(d).routes[1] = vec![9])),
+            ("graph start row", Box::new(|d| graph(d).start_row = 6)),
+            ("edge target", Box::new(|d| graph(d).edges[1].1 = 7)),
+            ("pool start row", Box::new(|d| d.curator.start_row = 3)),
+        ];
+        for (what, edit) in edits {
+            let mut bytes = base.clone();
+            bytes.extend_from_slice(&resealed(&delta, edit));
+            let rec = load_any(&bytes, &schema()).expect("an ill-fitting tail must recover");
+            assert_eq!(rec.deltas, 0, "{what}");
+            assert_eq!(rec.valid_bytes, base.len(), "{what}");
+            assert_eq!(
+                encode_base_file(&rec.checkpoint),
+                encode_base_file(&reference.checkpoint),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn load_any_rejects_bad_magic_and_version() {
         let cp = fixture();
@@ -1385,6 +1176,28 @@ mod tests {
         write_header(&mut w, LOG_MAGIC, LOG_VERSION + 1);
         assert!(load_any(w.as_bytes(), &schema()).is_err());
         assert!(load_any(JSON_CHECKPOINT.as_bytes(), &schema()).is_err());
+        // A version-2 log (separate base and delta layouts) is refused
+        // with a typed error, and the store leaves the file as it was.
+        let mut v2 = Writer::new();
+        write_header(&mut v2, LOG_MAGIC, 2);
+        let mut v2 = v2.into_bytes();
+        v2.extend_from_slice(&encode_base_file(&cp)[v2.len()..]);
+        let err = load_any(&v2, &schema()).expect_err("a v2 log must be refused");
+        assert_eq!(err.kind, ErrorKind::InvalidConfig);
+        let dir = std::env::temp_dir().join("cm_snapshot_store_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("v2.ckpt");
+        std::fs::write(&path, &v2).expect("write");
+        let policy = CompactionPolicy::default();
+        let err = CheckpointStore::open(&path, CheckpointFormat::Wire, policy, &schema())
+            .expect_err("a v2 log must be refused by the store");
+        assert_eq!(err.kind, ErrorKind::InvalidConfig);
+        assert_eq!(std::fs::read(&path).expect("read back"), v2);
+        let _ = std::fs::remove_file(&path);
+        // A base that is not a record since an empty run is refused too.
+        let mut late = cp.clone();
+        late.curator.start_row = 1;
+        assert!(load_any(&encode_base_file(&late), &schema()).is_err());
         // A torn or corrupt base is unrecoverable: there is no earlier
         // record to fall back to.
         let base = encode_base_file(&cp);

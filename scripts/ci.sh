@@ -97,6 +97,23 @@ diff /tmp/cm_serve_drill_torn_t4.out tests/fixtures/serve_drill.out
 rm -f "$SERVE_CKPT"
 echo "    delta-log resume identical after torn-tail kills at CM_THREADS=1 and 4"
 
+echo "==> serve smoke: compaction after a delta, then a delta on top"
+# Compacting every tick alternates base and delta commits: each base is
+# rewritten after a delta moved the curator's durable marks, and the next
+# delta is appended on top of it. Kill after the 4th ingest, then resume
+# at both thread counts against the pinned fixture.
+for threads in 1 4; do
+    rm -f "$SERVE_CKPT"
+    CM_CHECKPOINT="$SERVE_CKPT" CM_CRASH_AT=4 CM_CKPT_COMPACT_TICKS=1 CM_THREADS=1 \
+        cargo run -q --release --example serve_drill > /dev/null
+    test -f "$SERVE_CKPT" || { echo "killed run left no checkpoint"; exit 1; }
+    CM_CHECKPOINT="$SERVE_CKPT" CM_CKPT_COMPACT_TICKS=1 CM_THREADS="$threads" \
+        cargo run -q --release --example serve_drill > "/tmp/cm_serve_drill_compact_t$threads.out"
+    diff "/tmp/cm_serve_drill_compact_t$threads.out" tests/fixtures/serve_drill.out
+done
+rm -f "$SERVE_CKPT"
+echo "    compaction-after-delta resume identical at CM_THREADS=1 and 4"
+
 echo "==> benchmark smoke: perfbench builds against the workspace and runs"
 # The benchmark harness (perfbench/) is its own cargo project over the
 # workspace's public APIs; its smoke test runs every workload once at a
