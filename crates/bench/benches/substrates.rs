@@ -10,11 +10,11 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use cm_featurespace::{FeatureSet, ModalityKind, SimilarityConfig};
+use cm_featurespace::{FeatureSet, ModalityKind, ServingMode, SimilarityConfig};
 use cm_json::Json;
 use cm_labelmodel::{AnchoredModel, GenerativeConfig, GenerativeModel, LabelMatrix};
 use cm_linalg::Matrix;
-use cm_mining::{mine_itemsets, mine_itemsets_with, MiningConfig};
+use cm_mining::{mine_itemsets, mine_itemsets_with, mine_lfs, MiningConfig};
 use cm_models::{LogisticRegression, Mlp, MlpEpochConfig};
 use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cm_par::ParConfig;
@@ -311,6 +311,35 @@ fn bench_kernels(c: &Harness) {
             mine_itemsets_with(&data.table, &data.labels, &mine_cols, &cfg, &par)
         });
     }
+
+    // Mined-LF evaluation through the compiled suite: CT1 LFs mined on 2k
+    // labeled text rows (the pool-anchored benchmark's suite shape), applied
+    // to 50k image rows. The votes must equal row-wise `vote_frozen`.
+    let cur = CurationConfig::default();
+    let lf_cols: Vec<usize> = w
+        .schema()
+        .columns_in_sets(&cur.lf_sets, false)
+        .into_iter()
+        .filter(|&c| w.schema().def(c).is_some_and(|d| d.serving == ServingMode::Servable))
+        .collect();
+    let text = w.generate(ModalityKind::Text, 2000, 11);
+    let lfs = mine_lfs(
+        &text.table,
+        &text.labels,
+        &lf_cols,
+        &cur.mining,
+        cur.max_positive_lfs,
+        cur.max_negative_lfs,
+    )
+    .lfs;
+    let pool = w.generate(ModalityKind::Image, 50_000, 12).table;
+    let frozen = cm_featurespace::FrozenTable::freeze(&pool);
+    let applied = LabelMatrix::apply_with(&pool, &lfs, &par);
+    for r in 0..pool.len() {
+        let want: Vec<i8> = lfs.iter().map(|lf| lf.vote_frozen(&frozen, r).as_i8()).collect();
+        assert_eq!(applied.row(r), want, "compiled LF votes differ from vote_frozen at row {r}");
+    }
+    group.bench_function("lf_apply_50k", || LabelMatrix::apply_with(&pool, &lfs, &par));
 
     // Cache-blocked GEMM, 256^3 (same operands as par/matmul_256_t1).
     let fill = |seed: u32| {

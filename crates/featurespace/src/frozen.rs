@@ -38,13 +38,12 @@ impl Bitmap {
 
     /// Packs a `Vec<bool>` validity vector.
     pub fn from_bools(present: &[bool]) -> Self {
-        let mut b = Self::zeros(present.len());
-        for (i, &p) in present.iter().enumerate() {
-            if p {
-                b.words[i >> 6] |= 1u64 << (i & 63);
-            }
-        }
-        b
+        // One word per 64 flags, without a branch per flag.
+        let words = present
+            .chunks(64)
+            .map(|flags| flags.iter().rev().fold(0u64, |w, &p| (w << 1) | u64::from(p)))
+            .collect();
+        Self { words, len: present.len() }
     }
 
     /// Number of rows covered.

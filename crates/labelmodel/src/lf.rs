@@ -4,6 +4,14 @@
 //! The common feature space is what makes LFs writable at all for rich
 //! modalities (§4.2): predicates over categorical service outputs and
 //! numeric statistics, instead of raw pixels.
+//!
+//! Every LF votes through [`LabelingFunction::vote_frozen`]. An LF can
+//! also describe itself through [`LabelingFunction::shape`]: a
+//! single-column categorical-contains or numeric-bounds rule, the two
+//! shapes itemset mining emits (§4.3), or opaque. A
+//! [`crate::CompiledSuite`] evaluates the described shapes through
+//! per-column postings and calls `vote_frozen` only for opaque LFs; a
+//! shape must vote exactly as `vote_frozen` does on every row.
 
 use std::sync::Arc;
 
@@ -59,6 +67,46 @@ pub trait LabelingFunction: Send + Sync {
     /// abstain on missing inputs. Callers freeze a table once and vote
     /// every row through the view, as [`crate::LabelMatrix::apply`] does.
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote;
+
+    /// How a [`crate::CompiledSuite`] may evaluate this LF without calling
+    /// [`LabelingFunction::vote_frozen`]. The default, [`LfShape::Opaque`],
+    /// is always correct; any other shape must vote exactly as
+    /// `vote_frozen` does on every row of every table.
+    fn shape(&self) -> LfShape {
+        LfShape::Opaque
+    }
+}
+
+/// What an LF votes on, as far as a [`crate::CompiledSuite`] needs to
+/// know ([`LabelingFunction::shape`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum LfShape {
+    /// Votes `vote` when categorical column `column` is present and
+    /// contains all (`require_all`) or any of `ids`; abstains otherwise,
+    /// including on a column of another kind.
+    CategoricalContains {
+        /// Source column.
+        column: usize,
+        /// Category ids to look for (duplicates allowed).
+        ids: Vec<u32>,
+        /// All ids must be present, instead of any one.
+        require_all: bool,
+        /// Vote emitted on match.
+        vote: Vote,
+    },
+    /// Votes `vote` when numeric column `column` is present and its value
+    /// passes every bound (`Above`: `value >= t`, `Below`: `value <= t`);
+    /// abstains otherwise, including on a column of another kind.
+    NumericBounds {
+        /// Source column.
+        column: usize,
+        /// Bounds the value must pass, compared exactly as written.
+        bounds: Vec<(ThresholdDirection, f64)>,
+        /// Vote emitted on match.
+        vote: Vote,
+    },
+    /// Any other rule: the suite calls [`LabelingFunction::vote_frozen`].
+    Opaque,
 }
 
 /// Votes when a categorical feature contains any (or all) of a set of ids.
@@ -97,6 +145,15 @@ impl LabelingFunction for CategoricalContainsLf {
 
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
         self.vote_ids(frozen.categorical(row, self.column))
+    }
+
+    fn shape(&self) -> LfShape {
+        LfShape::CategoricalContains {
+            column: self.column,
+            ids: self.ids.clone(),
+            require_all: self.require_all,
+            vote: self.on_match,
+        }
     }
 }
 
@@ -167,6 +224,14 @@ impl LabelingFunction for NumericThresholdLf {
     fn vote_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Vote {
         self.vote_value(frozen.numeric(row, self.column))
     }
+
+    fn shape(&self) -> LfShape {
+        LfShape::NumericBounds {
+            column: self.column,
+            bounds: vec![(self.direction, self.threshold)],
+            vote: self.on_match,
+        }
+    }
 }
 
 impl NumericThresholdLf {
@@ -214,6 +279,15 @@ pub enum Predicate {
 }
 
 impl Predicate {
+    /// The column the predicate reads.
+    fn column(&self) -> usize {
+        match *self {
+            Predicate::CatContains { column, .. }
+            | Predicate::NumAbove { column, .. }
+            | Predicate::NumBelow { column, .. } => column,
+        }
+    }
+
     fn holds_frozen(&self, frozen: &FrozenTable<'_>, row: usize) -> Option<bool> {
         match *self {
             Predicate::CatContains { column, id } => {
@@ -265,6 +339,50 @@ impl LabelingFunction for ConjunctionLf {
             }
         }
         self.on_match
+    }
+
+    /// A conjunction over one column is a categorical require-all rule
+    /// (all `CatContains`) or a numeric range (all `NumAbove`/`NumBelow`,
+    /// the shape of a mined numeric bin); anything else is opaque.
+    fn shape(&self) -> LfShape {
+        let column = self.predicates[0].column();
+        if self.predicates.iter().any(|p| p.column() != column) {
+            return LfShape::Opaque;
+        }
+        let ids: Option<Vec<u32>> = self
+            .predicates
+            .iter()
+            .map(|p| match *p {
+                Predicate::CatContains { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
+        if let Some(ids) = ids {
+            return LfShape::CategoricalContains {
+                column,
+                ids,
+                require_all: true,
+                vote: self.on_match,
+            };
+        }
+        let bounds: Option<Vec<(ThresholdDirection, f64)>> = self
+            .predicates
+            .iter()
+            .map(|p| match *p {
+                Predicate::NumAbove { threshold, .. } => {
+                    Some((ThresholdDirection::Above, threshold))
+                }
+                Predicate::NumBelow { threshold, .. } => {
+                    Some((ThresholdDirection::Below, threshold))
+                }
+                Predicate::CatContains { .. } => None,
+            })
+            .collect();
+        bounds.map_or(LfShape::Opaque, |bounds| LfShape::NumericBounds {
+            column,
+            bounds,
+            vote: self.on_match,
+        })
     }
 }
 

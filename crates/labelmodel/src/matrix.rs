@@ -1,21 +1,28 @@
 //! The label matrix: LF votes over a dataset, plus aggregate vote
 //! statistics (coverage, overlap, conflict — Snorkel's standard
 //! diagnostics).
+//!
+//! A matrix is filled through a [`CompiledSuite`]: each row costs its
+//! category ids plus the votes that fire, not one call per LF. Pools too
+//! large to hold as a dense matrix go straight into a
+//! [`crate::VotePatterns`] table instead
+//! ([`crate::VotePatterns::extend_compiled`]).
 
 use cm_featurespace::{FeatureTable, FrozenTable};
 use cm_par::ParConfig;
 
+use crate::compiled::CompiledSuite;
 use crate::lf::{LabelingFunction, Vote};
 
 /// `n_rows * n_lfs` work above which LF application and vote statistics
 /// fan out across `cm-par`. The paper applies LFs with MapReduce for the
 /// same reason (§6.3). Depends only on the matrix shape, so the code path
 /// never varies with the thread count.
-const PAR_THRESHOLD: usize = 50_000;
+pub(crate) const PAR_THRESHOLD: usize = 50_000;
 
 /// Minimum rows per parallel chunk; fixed per call site so chunked folds
 /// group identically at every thread count.
-const MIN_ROWS_PER_CHUNK: usize = 512;
+pub(crate) const MIN_ROWS_PER_CHUNK: usize = 512;
 
 /// Aggregate vote statistics over a [`LabelMatrix`], computed in one pass.
 ///
@@ -116,7 +123,8 @@ impl LabelMatrix {
         Self::apply_with(table, lfs, &ParConfig::from_env())
     }
 
-    /// [`LabelMatrix::apply`] with an explicit parallel configuration.
+    /// [`LabelMatrix::apply`] with an explicit parallel configuration: it
+    /// compiles `lfs` and fills through [`LabelMatrix::apply_compiled`].
     ///
     /// # Panics
     /// Re-raises a worker panic (an LF panicking on a row behaves exactly
@@ -126,40 +134,40 @@ impl LabelMatrix {
         lfs: &[Box<dyn LabelingFunction>],
         par: &ParConfig,
     ) -> Self {
+        Self::apply_compiled(table, &CompiledSuite::compile(lfs), lfs, par)
+    }
+
+    /// Applies a compiled suite to every row of `table`. `lfs` are the LFs
+    /// `suite` was compiled from; every cell equals that LF's
+    /// `vote_frozen`.
+    ///
+    /// # Panics
+    /// Panics unless `suite` has one column per LF; re-raises a worker
+    /// panic like [`LabelMatrix::apply_with`].
+    pub fn apply_compiled(
+        table: &FeatureTable,
+        suite: &CompiledSuite,
+        lfs: &[Box<dyn LabelingFunction>],
+        par: &ParConfig,
+    ) -> Self {
         let n_rows = table.len();
         let n_lfs = lfs.len();
         let names = lfs.iter().map(|lf| lf.name().to_owned()).collect();
         let mut votes = vec![0i8; n_rows * n_lfs];
-        apply_into(table, lfs, &mut votes, par);
+        // Freeze once per matrix: the suite then reads contiguous columns
+        // instead of dispatching through the schema per row.
+        let frozen = FrozenTable::freeze(table);
+        if n_rows.saturating_mul(n_lfs) < PAR_THRESHOLD || n_rows < 2 {
+            suite.fill(&frozen, lfs, 0..n_rows, &mut votes);
+        } else {
+            let par = par.clone().with_min_chunk(MIN_ROWS_PER_CHUNK);
+            if let Err(e) = cm_par::par_chunks_mut(&par, &mut votes, n_lfs, |start, chunk| {
+                suite.fill(&frozen, lfs, start..start + chunk.len() / n_lfs, chunk);
+            }) {
+                e.resume();
+            }
+        }
         Self { n_rows, n_lfs, votes, names }
-    }
-
-    /// Applies every LF to `table`, appending the votes in place — the
-    /// zero-copy segment path of the curation driver. Bit-identical to
-    /// appending the rows of [`LabelMatrix::apply_with`] on `table`,
-    /// without the intermediate segment matrix: same freeze, same parallel
-    /// threshold, same chunking over the same rows, writing straight into
-    /// this matrix's buffer.
-    ///
-    /// # Panics
-    /// Panics unless `lfs` matches this matrix's columns; re-raises a
-    /// worker panic like [`LabelMatrix::apply_with`].
-    pub fn apply_append_with(
-        &mut self,
-        table: &FeatureTable,
-        lfs: &[Box<dyn LabelingFunction>],
-        par: &ParConfig,
-    ) {
-        assert_eq!(lfs.len(), self.n_lfs, "segment LF count mismatch");
-        assert!(
-            lfs.iter().map(|lf| lf.name()).eq(self.names.iter().map(String::as_str)),
-            "segment LF name mismatch"
-        );
-        let n_rows = table.len();
-        let base = self.votes.len();
-        self.votes.resize(base + n_rows * self.n_lfs, 0);
-        apply_into(table, lfs, &mut self.votes[base..], par);
-        self.n_rows += n_rows;
     }
 
     /// Builds a matrix from raw encodings (row-major).
@@ -176,11 +184,6 @@ impl LabelMatrix {
     /// The encoded votes, row-major.
     pub(crate) fn votes(&self) -> &[i8] {
         &self.votes
-    }
-
-    /// The vote buffer and the LF names, taking the matrix apart.
-    pub(crate) fn into_parts(self) -> (Vec<i8>, Vec<String>) {
-        (self.votes, self.names)
     }
 
     /// Appends one row of encoded votes.
@@ -327,85 +330,13 @@ impl LabelMatrix {
         }
     }
 
-    /// An empty matrix over `names` with buffer space for `n_rows` rows
-    /// reserved up front — the destination for streaming appends
-    /// ([`LabelMatrix::apply_append_with`]), which then fill one allocation in place instead of gathering
-    /// per-segment matrices and copying them all again at the end. Votes
-    /// are pure per-row values, so appending segment by segment is
-    /// bit-identical to applying the LFs to the whole table — the
-    /// invariant the sharded curation layer rests on.
-    pub fn with_row_capacity(n_rows: usize, names: Vec<String>) -> LabelMatrix {
-        let n_lfs = names.len();
-        LabelMatrix { n_rows: 0, n_lfs, votes: Vec::with_capacity(n_rows * n_lfs), names }
-    }
-
-    /// Resident bytes counting reserved-but-unfilled vote capacity — what
-    /// a memory tracker should charge for a preallocated streaming target
-    /// the moment it is created.
+    /// Resident bytes, counting reserved-but-unfilled vote capacity: what
+    /// a memory tracker charges for the matrix (or for the distinct rows
+    /// of a pattern table, which grow by appends).
     pub fn capacity_bytes(&self) -> usize {
         self.votes.capacity() * std::mem::size_of::<i8>()
             + self.names.iter().map(|n| n.len() + std::mem::size_of::<String>()).sum::<usize>()
             + std::mem::size_of::<Self>()
-    }
-}
-
-/// The one vote-fill path both [`LabelMatrix::apply_with`] and
-/// [`LabelMatrix::apply_append_with`] go through: `votes` is exactly
-/// `table.len() * lfs.len()` cells (a fresh buffer or the tail of a
-/// preallocated one — the chunking sees only the slice, so the bits
-/// cannot differ between the two callers).
-fn apply_into(
-    table: &FeatureTable,
-    lfs: &[Box<dyn LabelingFunction>],
-    votes: &mut [i8],
-    par: &ParConfig,
-) {
-    let n_rows = table.len();
-    let n_lfs = lfs.len();
-    // Freeze once per matrix: every LF then reads contiguous columns
-    // instead of dispatching through the schema per row.
-    let frozen = FrozenTable::freeze(table);
-    let work = n_rows.saturating_mul(n_lfs);
-    if work < PAR_THRESHOLD || n_rows < 2 {
-        fill_votes(&frozen, lfs, votes, 0, n_rows);
-    } else {
-        let par = par.clone().with_min_chunk(MIN_ROWS_PER_CHUNK);
-        if let Err(e) = cm_par::par_chunks_mut(&par, votes, n_lfs, |start, chunk| {
-            fill_votes_from(&frozen, lfs, chunk, start);
-        }) {
-            e.resume();
-        }
-    }
-}
-
-fn fill_votes(
-    frozen: &FrozenTable<'_>,
-    lfs: &[Box<dyn LabelingFunction>],
-    votes: &mut [i8],
-    start: usize,
-    end: usize,
-) {
-    let n_lfs = lfs.len();
-    for r in start..end {
-        for (j, lf) in lfs.iter().enumerate() {
-            votes[r * n_lfs + j] = lf.vote_frozen(frozen, r).as_i8();
-        }
-    }
-}
-
-/// Fills a chunk of the vote buffer whose first row is `start` (the shape
-/// `cm_par::par_chunks_mut` hands out).
-fn fill_votes_from(
-    frozen: &FrozenTable<'_>,
-    lfs: &[Box<dyn LabelingFunction>],
-    chunk: &mut [i8],
-    start: usize,
-) {
-    let n_lfs = lfs.len();
-    for (i, rec) in chunk.chunks_exact_mut(n_lfs).enumerate() {
-        for (j, lf) in lfs.iter().enumerate() {
-            rec[j] = lf.vote_frozen(frozen, start + i).as_i8();
-        }
     }
 }
 
@@ -479,8 +410,11 @@ mod tests {
         // 30k rows x 2 LFs crosses the parallel threshold.
         let t = table(30_000);
         let serial = {
-            let mut votes = vec![0i8; 30_000 * 2];
-            fill_votes(&FrozenTable::freeze(&t), &lfs(), &mut votes, 0, 30_000);
+            let (frozen, lfs) = (FrozenTable::freeze(&t), lfs());
+            let mut votes = Vec::new();
+            for r in 0..30_000 {
+                votes.extend(lfs.iter().map(|lf| lf.vote_frozen(&frozen, r).as_i8()));
+            }
             LabelMatrix::from_votes(30_000, 2, votes, vec!["a".into(), "b".into()])
         };
         for threads in [1usize, 2, 4, 8] {
@@ -592,23 +526,6 @@ mod tests {
             assert_eq!(merged, whole, "cuts = {cuts:?}");
             assert_eq!(VoteStats::from_counts(merged), m.vote_stats_with(&ParConfig::serial()));
         }
-    }
-
-    #[test]
-    fn segment_appends_match_whole_apply() {
-        let t = table(100);
-        let whole = LabelMatrix::apply(&t, &lfs());
-        // The curation driver's append path, over segments in order into
-        // one preallocated buffer: the bits of one resident apply.
-        let mut applied = LabelMatrix::with_row_capacity(whole.n_rows(), whole.names().to_vec());
-        for (start, end) in [(0usize, 1usize), (1, 37), (37, 100)] {
-            let mut seg = FeatureTable::new(Arc::clone(t.schema()));
-            for r in start..end {
-                seg.push_row(&t.row(r));
-            }
-            applied.apply_append_with(&seg, &lfs(), &ParConfig::serial());
-        }
-        assert_eq!(applied, whole);
     }
 
     #[test]

@@ -9,13 +9,30 @@
 //! first-seen row order, so the table is a pure function of the rows; the
 //! hash index behind it is lookup-only and never iterated. Its hash has a
 //! fixed key: the keys are LF votes computed in-process, not outside input.
+//!
+//! A pool's votes go straight into its table:
+//! [`VotePatterns::extend_compiled`] evaluates a table segment through a
+//! [`CompiledSuite`] in blocks of rows (each block's rows in parallel
+//! chunks) and interns the rows serially in row order, so ids and counts
+//! equal [`VotePatterns::from_matrix`] of the dense matrix, which is never
+//! held.
 
 use std::ops::Range;
 
+use cm_featurespace::{FeatureTable, FrozenTable};
+use cm_par::ParConfig;
+
+use crate::compiled::CompiledSuite;
+use crate::lf::LabelingFunction;
 use crate::matrix::{LabelMatrix, VoteCounts};
 
 /// Marks an empty slot of the hash index.
 const EMPTY: u32 = u32::MAX;
+
+/// Rows [`VotePatterns::extend_compiled`] evaluates before interning them:
+/// its dense scratch is at most this many rows of votes, whatever the
+/// segment size.
+pub const APPEND_BLOCK_ROWS: usize = 8192;
 
 /// Distinct vote rows in first-seen order with their counts, plus the
 /// pattern id of every row. Grows by appended rows in O(rows appended).
@@ -45,7 +62,7 @@ impl VotePatterns {
     /// An empty table over the LF columns `names`.
     pub fn new(names: Vec<String>) -> Self {
         Self {
-            distinct: LabelMatrix::with_row_capacity(0, names),
+            distinct: LabelMatrix::from_votes(0, names.len(), Vec::new(), names),
             counts: Vec::new(),
             row_ids: Vec::new(),
             index: PatternIndex::default(),
@@ -59,33 +76,45 @@ impl VotePatterns {
         patterns
     }
 
-    /// [`VotePatterns::from_matrix`] built in the matrix's own vote
-    /// buffer, with no second copy of the votes: a row's pattern id never
-    /// exceeds its row index, so each new pattern moves down into place,
-    /// and the buffer is cut to the distinct rows at the end.
-    pub fn from_owned_matrix(matrix: LabelMatrix) -> Self {
-        let (n_rows, n_lfs) = (matrix.n_rows(), matrix.n_lfs());
-        let (mut votes, names) = matrix.into_parts();
-        let mut index = PatternIndex::default();
-        let mut counts: Vec<u64> = Vec::new();
-        let mut row_ids = Vec::with_capacity(n_rows);
-        for r in 0..n_rows {
-            let (next, row) = (counts.len() * n_lfs, r * n_lfs..(r + 1) * n_lfs);
-            let id = match index.find_or_insert(&votes[..next], n_lfs, &votes[row.clone()]) {
-                Ok(id) => id,
-                Err(id) => {
-                    votes.copy_within(row, next);
-                    counts.push(0);
-                    id
+    /// Reserves the row → id column for `additional` more rows, so a
+    /// caller can hold (and charge) it up front.
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.row_ids.reserve_exact(additional);
+    }
+
+    /// Appends every row of `table`, voted by the compiled `suite` over
+    /// its LFs `lfs`, and returns the postings the suite visited. Rows are
+    /// evaluated [`APPEND_BLOCK_ROWS`] at a time (in parallel row chunks
+    /// when a block is large enough) and interned serially in row order,
+    /// so the table equals [`VotePatterns::from_matrix`] of
+    /// [`LabelMatrix::apply_compiled`]'s matrix at every thread count and
+    /// over any cut of the rows into segments.
+    ///
+    /// # Panics
+    /// Panics unless `suite` and `lfs` have one column per table column;
+    /// re-raises a worker panic.
+    pub fn extend_compiled(
+        &mut self,
+        table: &FeatureTable,
+        suite: &CompiledSuite,
+        lfs: &[Box<dyn LabelingFunction>],
+        par: &ParConfig,
+    ) -> u64 {
+        assert_eq!(suite.n_lfs(), self.n_lfs(), "LF count mismatch");
+        let n = self.n_lfs();
+        let frozen = FrozenTable::freeze(table);
+        self.row_ids.reserve(table.len());
+        let mut visited = 0;
+        for start in (0..table.len()).step_by(APPEND_BLOCK_ROWS) {
+            let block = start..(start + APPEND_BLOCK_ROWS).min(table.len());
+            for (rows, votes, postings) in suite.eval_chunks(&frozen, lfs, block, par) {
+                visited += postings;
+                for i in 0..rows.len() {
+                    self.push_row(&votes[i * n..(i + 1) * n]);
                 }
-            };
-            counts[id as usize] += 1;
-            row_ids.push(id);
+            }
         }
-        votes.truncate(counts.len() * n_lfs);
-        votes.shrink_to_fit();
-        let distinct = LabelMatrix::from_votes(counts.len(), n_lfs, votes, names);
-        Self { distinct, counts, row_ids, index }
+        visited
     }
 
     /// Appends every row of `matrix`.
@@ -402,25 +431,6 @@ mod tests {
             }
         }
         assert_eq!(next as usize, p.n_patterns());
-    }
-
-    #[test]
-    fn building_in_place_matches_building_from_a_borrow() {
-        for (n, n_lfs, fire) in [(0, 4, 0.5), (3, 0, 0.5), (5000, 11, 0.15), (3000, 2, 0.9)] {
-            let m = random_matrix(n, n_lfs, fire, 9);
-            let borrowed = VotePatterns::from_matrix(&m);
-            let owned = VotePatterns::from_owned_matrix(m.clone());
-            assert_eq!(owned.row_ids(), borrowed.row_ids());
-            assert_eq!(owned.counts(), borrowed.counts());
-            assert_eq!(owned.distinct(), borrowed.distinct());
-            // Its index keeps working for appended rows.
-            let (mut a, mut b) = (owned, borrowed);
-            for r in (0..n).step_by(7) {
-                assert_eq!(a.push_row(m.row(r)), b.push_row(m.row(r)));
-            }
-            assert_eq!(a.push_row(&vec![1; n_lfs]), b.push_row(&vec![1; n_lfs]));
-            assert_eq!(a.distinct(), b.distinct());
-        }
     }
 
     #[test]

@@ -147,12 +147,17 @@ impl LabelingFunction for ExpertNamed {
     ) -> cm_labelmodel::Vote {
         self.inner.vote_frozen(frozen, row)
     }
+
+    fn shape(&self) -> cm_labelmodel::LfShape {
+        self.inner.shape()
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use cm_labelmodel::LabelMatrix;
+    use cm_labelmodel::{CompiledSuite, LabelMatrix};
     use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
+    use cm_par::ParConfig;
 
     use super::*;
 
@@ -189,6 +194,34 @@ mod tests {
             pos_rate > neg_rate * 1.5,
             "expert positive LFs: pos rate {pos_rate}, neg rate {neg_rate}"
         );
+    }
+
+    /// The watchlist LFs compile to postings, and the compiled suite votes
+    /// every cell exactly as `vote_frozen` does.
+    #[test]
+    fn compiled_expert_suite_matches_vote_frozen() {
+        let world = World::build(WorldConfig::new(TaskConfig::paper(TaskId::Ct1).scaled(0.01), 4));
+        let data = world.generate(cm_featurespace::ModalityKind::Image, 3000, 5);
+        let lfs = expert_lfs(world.schema()).unwrap();
+        let suite = CompiledSuite::compile(&lfs);
+        // Only the four multi-column conjunctions stay opaque.
+        assert_eq!(suite.n_opaque(), 4);
+        let frozen = cm_featurespace::FrozenTable::freeze(&data.table);
+        let mut rowwise = Vec::new();
+        for r in 0..data.len() {
+            rowwise.extend(lfs.iter().map(|lf| lf.vote_frozen(&frozen, r).as_i8()));
+        }
+        for threads in [1usize, 4] {
+            let m = LabelMatrix::apply_compiled(
+                &data.table,
+                &suite,
+                &lfs,
+                &ParConfig::threads(threads),
+            );
+            let cells: Vec<i8> = (0..m.n_rows()).flat_map(|r| m.row(r).to_vec()).collect();
+            assert_eq!(cells, rowwise, "threads = {threads}");
+        }
+        assert!(rowwise.iter().any(|&v| v > 0) && rowwise.iter().any(|&v| v < 0));
     }
 
     #[test]

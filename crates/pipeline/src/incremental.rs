@@ -5,9 +5,10 @@
 //!
 //! The division of labor with `cm-serve`:
 //!
-//! - This module owns the *curation state machine*: LFs are mined once on
-//!   the labeled text corpus, each arrival batch's votes append to the
-//!   pool's vote-pattern table ([`cm_labelmodel::VotePatterns`]), the EM
+//! - This module owns the *curation state machine*: LFs are mined and
+//!   compiled ([`cm_labelmodel::CompiledSuite`]) once on the labeled text
+//!   corpus, each arrival batch's votes append to the pool's vote-pattern
+//!   table ([`cm_labelmodel::VotePatterns`]) through that suite, the EM
 //!   label model refits warm-started from the previous fit
 //!   ([`cm_labelmodel::WarmStart`]) over the distinct patterns, and the
 //!   propagation graph grows by online anchor insertion
@@ -51,7 +52,8 @@ use cm_featurespace::{
     SimilarityConfig,
 };
 use cm_labelmodel::{
-    GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns, WarmStart,
+    CompiledSuite, GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns,
+    WarmStart,
 };
 use cm_mining::mine_lfs;
 use cm_orgsim::{ModalityDataset, World};
@@ -222,6 +224,8 @@ struct PropScaffold {
 pub struct IncrementalCurator {
     config: IncrementalConfig,
     lfs: Vec<Box<dyn LabelingFunction>>,
+    /// `lfs` compiled once; every batch is voted through it.
+    suite: CompiledSuite,
     lf_names: Vec<String>,
     prior: f64,
     prop: Option<PropScaffold>,
@@ -255,6 +259,7 @@ impl IncrementalCurator {
             config.curation.max_negative_lfs,
         );
         let lfs = mined.lfs;
+        let suite = CompiledSuite::compile(&lfs);
         let base_patterns = VotePatterns::new(lfs.iter().map(|l| l.name().to_owned()).collect());
         let mut lf_names = base_patterns.distinct().names().to_vec();
         let prior = text.positive_rate().clamp(1e-4, 0.5);
@@ -280,6 +285,7 @@ impl IncrementalCurator {
         IncrementalCurator {
             config,
             lfs,
+            suite,
             lf_names,
             prior,
             prop,
@@ -331,7 +337,7 @@ impl IncrementalCurator {
 
     /// Guard inputs for a candidate batch, without mutating any state.
     pub fn preview_batch(&self, batch: &ModalityDataset, par: &ParConfig) -> BatchPreview {
-        let matrix = LabelMatrix::apply_with(&batch.table, &self.lfs, par);
+        let matrix = LabelMatrix::apply_compiled(&batch.table, &self.suite, &self.lfs, par);
         let n = matrix.n_rows();
         let n_lfs = matrix.n_lfs();
         let covered = (0..n).filter(|&r| matrix.row(r).iter().any(|&v| v != 0)).count();
@@ -370,11 +376,7 @@ impl IncrementalCurator {
         self.pool.table.extend_from(&batch.table);
         self.pool.labels.extend_from_slice(&batch.labels);
         self.pool.borderline.extend_from_slice(&batch.borderline);
-        self.base_patterns.extend_from_matrix(&LabelMatrix::apply_with(
-            &batch.table,
-            &self.lfs,
-            par,
-        ));
+        self.base_patterns.extend_compiled(&batch.table, &self.suite, &self.lfs, par);
         if let Some(p) = &mut self.prop {
             p.setup.corpus.extend_from(&batch.table);
             p.online.insert_rows(&FrozenTable::freeze(&p.setup.corpus), &p.sim);
@@ -490,7 +492,7 @@ impl IncrementalCurator {
         );
         let n_base = c.lfs.len();
         let names = c.base_patterns.distinct().names().to_vec();
-        c.base_patterns = VotePatterns::from_owned_matrix(LabelMatrix::from_votes(
+        c.base_patterns = VotePatterns::from_matrix(&LabelMatrix::from_votes(
             state.pool.len(),
             n_base,
             state.votes,

@@ -12,22 +12,24 @@
 //!
 //! The streamed output is **bit-identical** to `curate` over
 //! [`TaskData::generate`] with the same `(task, seed, config)`, at any
-//! shard size and any `CM_THREADS` — durations excepted. LF votes are pure
-//! per-row, so segment appends in offset order equal one whole-pool
-//! apply; the label model is fitted on the dev corpus (anchored) or on
-//! exact mergeable moments (EM); and the propagation graph's two sources
-//! (see `propagation_lf`) build the same edges bit for bit. After the
-//! sweep the pool matrix becomes its vote-pattern table
-//! ([`VotePatterns`]), and the telemetry scans and the label model run
-//! once per distinct pattern, bit-identical to the row scans.
+//! shard size and any `CM_THREADS` — durations excepted. The LF suite is
+//! compiled once ([`CompiledSuite`]) and every segment's votes go straight
+//! into the pool's vote-pattern table ([`VotePatterns`]); votes are pure
+//! per-row and rows are interned in offset order, so the table equals the
+//! one of a whole-pool apply, and no pool-sized vote matrix is ever held.
+//! The label model is fitted on the dev corpus (anchored) or on exact
+//! mergeable moments (EM), the propagation graph's two sources (see
+//! `propagation_lf`) build the same edges bit for bit, and the telemetry
+//! scans and the label model run once per distinct pattern, bit-identical
+//! to the row scans.
 
 use std::time::Duration;
 
 use cm_faults::{FaultSummary, Stopwatch};
 use cm_featurespace::{CmResult, FrozenTable, Label, ModalityKind, SimilarityConfig};
 use cm_labelmodel::{
-    majority_vote, AnchoredModel, BoundScoreLf, GenerativeConfig, GenerativeModel, LabelMatrix,
-    LabelingFunction, LfRates, VotePatterns, VoteStats,
+    majority_vote, AnchoredModel, BoundScoreLf, CompiledSuite, GenerativeConfig, GenerativeModel,
+    LabelMatrix, LabelingFunction, LfRates, VotePatterns, VoteStats, APPEND_BLOCK_ROWS,
 };
 use cm_mining::{lfs_from_itemsets, mine_from_bitsets, ItemCatalogBuilder};
 use cm_orgsim::{ModalityDataset, TaskConfig, World, WorldConfig};
@@ -153,9 +155,10 @@ enum Pool<'a> {
 }
 
 /// The one curation driver: takes or mines the LF suite, builds the
-/// optional propagation LF, sweeps the pool's segments into one vote
-/// matrix, and fits the label model. Every allocation it holds is charged
-/// to `tracker` while held. Returns the output and the segments swept.
+/// optional propagation LF, sweeps the pool's segments into one
+/// vote-pattern table, and fits the label model. Every allocation it
+/// holds is charged to `tracker` while held. Returns the output and the
+/// segments swept.
 fn curate_pool(
     text: &ModalityDataset,
     pool: &Pool<'_>,
@@ -191,33 +194,44 @@ fn curate_pool(
         propagation_time = Some(start.elapsed());
     }
 
-    // LF application over the pool's segments. Votes are pure per-row, so
-    // appending each segment's votes in offset order into one
-    // preallocated matrix is bit-identical to applying the LFs to the
-    // whole pool. The propagation LF joins the suite as its last column,
-    // rebased to each segment's first row, so every append writes whole
-    // rows.
+    // LF application over the pool's segments, through the suite compiled
+    // once. Votes are pure per-row and each segment's rows are interned in
+    // offset order, so the pattern table equals the one of the whole
+    // pool's vote matrix, which is never built. The propagation LF joins
+    // the suite as its last (opaque) column, rebased to each segment's
+    // first row, so every append votes whole rows. The row-id column is
+    // reserved and charged up front, the evaluation block for the whole
+    // sweep, and the distinct patterns as they grow.
     let n_base = lfs.len();
     let mut suite = lfs;
     if let Some(p) = &prop {
         suite.push(Box::new(p.pool_lf.clone()));
     }
+    let compiled = CompiledSuite::compile(&suite);
     let lf_names: Vec<String> = suite.iter().map(|l| l.name().to_owned()).collect();
-    let mut pool_matrix = LabelMatrix::with_row_capacity(n_rows, lf_names.clone());
-    tracker.charge(pool_matrix.capacity_bytes(), "pool vote matrix")?;
+    let mut patterns = VotePatterns::new(lf_names.clone());
+    patterns.reserve_rows(n_rows);
+    let mut patterns_bytes = patterns.heap_bytes();
+    tracker.charge(patterns_bytes, "pool vote patterns")?;
+    let block_bytes = n_rows.min(APPEND_BLOCK_ROWS) * suite.len();
+    tracker.charge(block_bytes, "LF evaluation block")?;
     tracker.charge(n_rows * size_of::<Label>(), "pool ground truth")?;
     let mut pool_truth: Vec<Label> = Vec::with_capacity(n_rows);
-    let mut sweep = |offset: usize, seg: &ModalityDataset| {
+    let mut sweep = |offset: usize, seg: &ModalityDataset, tracker: &mut MemTracker| {
         if let Some(p) = &prop {
             suite[n_base] = Box::new(p.pool_lf.rebased(offset));
         }
-        pool_matrix.apply_append_with(&seg.table, &suite, par);
+        patterns.extend_compiled(&seg.table, &compiled, &suite, par);
         pool_truth.extend_from_slice(&seg.labels);
+        let held = patterns.heap_bytes();
+        tracker.charge(held - patterns_bytes, "pool vote patterns")?;
+        patterns_bytes = held;
+        Ok(())
     };
     let mut segments = 0usize;
     match pool {
         Pool::Resident(data) => {
-            sweep(0, &data.pool);
+            sweep(0, &data.pool, tracker)?;
             segments = 1;
         }
         // Each streamed segment is charged while it is swept.
@@ -228,13 +242,13 @@ fn curate_pool(
             spec.seed,
             *segment_rows,
             tracker,
-            &mut |offset, seg, _| {
+            &mut |offset, seg, tracker| {
                 segments += 1;
-                sweep(offset, seg);
-                Ok(())
+                sweep(offset, seg, tracker)
             },
         )?,
     }
+    tracker.release(block_bytes);
     // Past the sweep only the propagation LF's dev evidence is needed.
     drop(suite);
     let prop = prop.map(|p| {
@@ -244,14 +258,7 @@ fn curate_pool(
 
     // From here on the pool is read through its vote-pattern table: the
     // telemetry scans and the label model run once per distinct pattern
-    // and scatter back to rows. The table is built in the matrix's buffer,
-    // which then shrinks to the distinct rows; it is charged whole while
-    // the full matrix is still charged, which covers the id column and
-    // index held next to the matrix during the build.
-    let matrix_bytes = pool_matrix.capacity_bytes();
-    let mut patterns = VotePatterns::from_owned_matrix(pool_matrix);
-    tracker.charge(patterns.heap_bytes(), "pool vote patterns")?;
-    tracker.release(matrix_bytes);
+    // and scatter back to rows.
 
     // Abstain-rate telemetry: dev rates over the evidence the LF weights
     // are estimated on (whole corpus for base LFs, the propagation dev

@@ -514,11 +514,24 @@ fn dec_curator(r: &mut Reader<'_>, schema: &Arc<FeatureSchema>) -> CmResult<Incr
         n_batches: dec_usize(r)?,
         start_row: dec_usize(r)?,
         pool: dec_dataset(r, schema)?,
-        votes: r.bytes().map_err(wire_err)?.iter().map(|&b| b as i8).collect(),
+        votes: dec_votes(r)?,
         em_warm: dec_opt(r, dec_warm)?,
         em_iterations: dec_usize(r)?,
         graph: dec_opt(r, dec_graph_record)?,
     })
+}
+
+/// Vote bytes: `0x01`, `0x00` and `0xFF` are the encodings of `+1`, `0`
+/// and `-1`; any other byte is refused, since a restore would panic on it.
+fn dec_votes(r: &mut Reader<'_>) -> CmResult<Vec<i8>> {
+    r.bytes()
+        .map_err(wire_err)?
+        .iter()
+        .map(|&b| match b as i8 {
+            v @ -1..=1 => Ok(v),
+            _ => Err(bad_wire(format!("vote byte {b:#04x} is not -1, 0 or +1"))),
+        })
+        .collect()
 }
 
 fn enc_batch_stats(w: &mut Writer, s: &BatchStats) {
@@ -1144,13 +1157,15 @@ mod tests {
         fn graph(d: &mut Checkpoint) -> &mut OnlineGraphState {
             d.curator.graph.as_mut().expect("graph")
         }
-        let edits: [(&str, Box<dyn FnOnce(&mut Checkpoint)>); 5] = [
+        let edits: [(&str, Box<dyn FnOnce(&mut Checkpoint)>); 6] = [
             ("graph-presence byte", Box::new(|d| d.curator.graph = None)),
             // Row 6 is inserted with 6 anchors in the pool.
             ("anchor index", Box::new(|d| graph(d).routes[1] = vec![9])),
             ("graph start row", Box::new(|d| graph(d).start_row = 6)),
             ("edge target", Box::new(|d| graph(d).edges[1].1 = 7)),
             ("pool start row", Box::new(|d| d.curator.start_row = 3)),
+            // Encoded as the byte 0x05, which no vote has.
+            ("vote byte", Box::new(|d| d.curator.votes[0] = 5)),
         ];
         for (what, edit) in edits {
             let mut bytes = base.clone();

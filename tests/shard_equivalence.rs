@@ -9,7 +9,6 @@
 //! graphs).
 
 use cross_modal::featurespace::{ErrorKind, FrozenTable, SimilarityConfig};
-use cross_modal::labelmodel::LabelMatrix;
 use cross_modal::mining::{
     mine_from_bitsets, mine_itemsets_with, ItemCatalogBuilder, MiningConfig,
 };
@@ -128,7 +127,8 @@ fn streamed_curation_matches_resident_under_em_model() {
 /// budget it fits exactly: a rerun at the peak succeeds with the same
 /// labels, one byte less is refused with a typed error. With propagation
 /// on, the peak covers what the pool sweep holds at once: the text
-/// corpus, the pool vote matrix and the propagation LF's pool scores.
+/// corpus, the pool's vote-pattern ids and the propagation LF's pool
+/// scores.
 #[test]
 fn streamed_curation_fits_exactly_its_own_peak_budget() {
     let data = TaskData::generate(task(), 5, Some(64));
@@ -160,8 +160,9 @@ fn streamed_curation_fits_exactly_its_own_peak_budget() {
                     first.output.lf_names.iter().any(|n| n == "label_propagation"),
                     "{what}: fixture must exercise the propagation LF"
                 );
-                let matrix = LabelMatrix::with_row_capacity(n_pool, first.output.lf_names.clone());
-                let floor = dataset_bytes(&data.text) + matrix.capacity_bytes() + 8 * n_pool;
+                // Text corpus, the pool's row → pattern-id column and the
+                // propagation LF's pool scores.
+                let floor = dataset_bytes(&data.text) + 4 * n_pool + 8 * n_pool;
                 assert!(peak >= floor, "{what}: peak {peak} below the sweep's holdings {floor}");
             }
         }
