@@ -14,7 +14,7 @@ use cm_featurespace::{FeatureSet, ModalityKind, ServingMode, SimilarityConfig};
 use cm_json::Json;
 use cm_labelmodel::{AnchoredModel, GenerativeConfig, GenerativeModel, LabelMatrix};
 use cm_linalg::Matrix;
-use cm_mining::{mine_itemsets, mine_itemsets_with, mine_lfs, MiningConfig};
+use cm_mining::{mine_itemsets, mine_lfs, MiningConfig};
 use cm_models::{LogisticRegression, Mlp, MlpEpochConfig};
 use cm_orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cm_par::ParConfig;
@@ -129,7 +129,7 @@ fn bench_feature_generation(c: &Harness) {
     group.finish();
 }
 
-fn bench_mining(c: &Harness) {
+fn bench_mining(c: &Harness, par: &ParConfig) {
     let mut group = c.group("mining");
     group.sample_size(20);
     let w = world();
@@ -138,7 +138,7 @@ fn bench_mining(c: &Harness) {
     for order in [1usize, 2] {
         let cfg = MiningConfig { max_order: order, ..MiningConfig::default() };
         group.bench_function(format!("apriori_5k_order{order}"), || {
-            mine_itemsets(&data.table, &data.labels, &cols, &cfg)
+            mine_itemsets(&data.table, &data.labels, &cols, &cfg, par)
         });
     }
     group.finish();
@@ -166,7 +166,7 @@ fn synthetic_matrix(n: usize, n_lfs: usize) -> (LabelMatrix, Vec<cm_featurespace
     (LabelMatrix::from_votes(n, n_lfs, votes, names), labels)
 }
 
-fn bench_label_model(c: &Harness) {
+fn bench_label_model(c: &Harness, par: &ParConfig) {
     let mut c = c.group("labelmodel");
     c.sample_size(20);
     let (m, labels) = synthetic_matrix(20_000, 40);
@@ -175,7 +175,8 @@ fn bench_label_model(c: &Harness) {
         model.predict(&m)
     });
     c.bench_function("em_fit_20k_x40", || {
-        GenerativeModel::fit(&m, &GenerativeConfig { max_iters: 20, ..GenerativeConfig::default() })
+        let cfg = GenerativeConfig { max_iters: 20, ..GenerativeConfig::default() };
+        GenerativeModel::fit(&m, &cfg, par)
     });
     c.finish();
 }
@@ -201,7 +202,7 @@ fn bench_propagation(c: &Harness) {
     c.finish();
 }
 
-fn bench_training(c: &Harness) {
+fn bench_training(c: &Harness, par: &ParConfig) {
     let mut c = c.group("training");
     c.sample_size(10);
     let w = world();
@@ -217,6 +218,7 @@ fn bench_training(c: &Harness) {
             &y,
             None,
             &cm_models::logistic::LogisticConfig { epochs: 3, ..Default::default() },
+            par,
         )
     });
     c.bench_batched(
@@ -228,6 +230,7 @@ fn bench_training(c: &Harness) {
                 &y,
                 None,
                 &MlpEpochConfig { batch_size: 128, l2: 1e-4, shuffle_seed: 0 },
+                par,
             )
         },
     );
@@ -250,7 +253,7 @@ fn bench_par_substrate(c: &Harness) {
     for threads in [1usize, 4] {
         let par = ParConfig::threads(threads);
         group.bench_function(format!("apriori_support_8k_t{threads}"), || {
-            mine_itemsets_with(&data.table, &data.labels, &cols, &mine_cfg, &par)
+            mine_itemsets(&data.table, &data.labels, &cols, &mine_cfg, &par)
         });
     }
 
@@ -258,7 +261,7 @@ fn bench_par_substrate(c: &Harness) {
     let (m, _) = synthetic_matrix(100_000, 8);
     for threads in [1usize, 4] {
         let par = ParConfig::threads(threads);
-        group.bench_function(format!("vote_stats_100k_x8_t{threads}"), || m.vote_stats_with(&par));
+        group.bench_function(format!("vote_stats_100k_x8_t{threads}"), || m.vote_stats(&par));
     }
 
     // Dense GEMM, 256^3 (row chunks above the flop threshold).
@@ -274,7 +277,7 @@ fn bench_par_substrate(c: &Harness) {
     let (a, b) = (fill(1), fill(2));
     for threads in [1usize, 4] {
         let par = ParConfig::threads(threads);
-        group.bench_function(format!("matmul_256_t{threads}"), || a.matmul_with(&b, &par));
+        group.bench_function(format!("matmul_256_t{threads}"), || a.matmul(&b, &par));
     }
     group.finish();
 }
@@ -308,7 +311,7 @@ fn bench_kernels(c: &Harness) {
     for order in [1usize, 2] {
         let cfg = MiningConfig { max_order: order, ..MiningConfig::default() };
         group.bench_function(format!("apriori_5k_order{order}"), || {
-            mine_itemsets_with(&data.table, &data.labels, &mine_cols, &cfg, &par)
+            mine_itemsets(&data.table, &data.labels, &mine_cols, &cfg, &par)
         });
     }
 
@@ -352,7 +355,7 @@ fn bench_kernels(c: &Harness) {
         m
     };
     let (a, b) = (fill(1), fill(2));
-    group.bench_function("matmul_256", || a.matmul_with(&b, &par));
+    group.bench_function("matmul_256", || a.matmul(&b, &par));
     group.finish();
 }
 
@@ -475,182 +478,17 @@ fn bench_scale(c: &Harness) {
     println!("scale: wrote {path}");
 }
 
-/// End-to-end incremental serving benchmark over a 64-tick run, with the
-/// `cm-wire` base + delta-log checkpoint and without checkpointing.
-/// Records ingest throughput, per-batch latency (simulated clock), the
-/// serving envelope, and the per-tick checkpoint cost curve, which is
-/// flat: a delta append is O(batch) per tick. Acceptance: final-tick
-/// delta cost within 2x of the tick-4 cost, and checkpointed wall
-/// throughput >= 85% of the no-checkpoint path. Results go to
-/// `results/BENCH_serve.json`; `CM_SERVE_JSON` overrides the output path.
-fn bench_serve(c: &Harness) {
-    use cm_serve::{run as serve_run, RunOutcome, ServeConfig};
-    let group = c.group("serve");
-    // 64 ticks of ~40-row batches; one arrival per tick, so ticks track
-    // batches and the checkpoint curve gets 64 points.
-    let total_rows = 64 * 40;
-    let config_for = |checkpointed: bool| {
-        let task = TaskConfig::paper(TaskId::Ct2).scaled(0.02);
-        let mut config = ServeConfig::new(task, 11);
-        config.total_rows = total_rows;
-        config.batch_rows = 40;
-        config.incremental.curation.prop_max_seeds = 400;
-        config.incremental.curation.mining.min_recall = 0.05;
-        if checkpointed {
-            let path = std::env::temp_dir().join("cm_bench_serve_ckpt.bin");
-            // A stale checkpoint would make the run resume (and measure
-            // an empty service loop) instead of serving from scratch.
-            let _ = std::fs::remove_file(&path);
-            config.checkpoint_path = Some(path);
-        }
-        config
-    };
-    let par = ParConfig::from_env();
-    let mut rows: Vec<Json> = Vec::new();
-    let mut wall_by_name: Vec<(&str, f64)> = Vec::new();
-    for (name, checkpointed) in
-        [("serve_ct2_wire_checkpoint", true), ("serve_ct2_no_checkpoint", false)]
-    {
-        if !group.enabled(name) {
-            continue;
-        }
-        let config = config_for(checkpointed);
-        let start = Instant::now();
-        let outcome = serve_run(&config, &par).unwrap();
-        let elapsed = start.elapsed();
-        let RunOutcome::Completed { report, timing } = outcome else {
-            panic!("bench run crashed without crash injection");
-        };
-        let mut lat: Vec<u64> = report.latencies_ms.clone();
-        lat.sort_unstable();
-        let p50 = lat[lat.len() / 2];
-        let max = *lat.last().unwrap();
-        let mean = lat.iter().sum::<u64>() as f64 / lat.len() as f64;
-        let wall_rows_per_sec = report.rows_ingested as f64 / elapsed.as_secs_f64();
-        wall_by_name.push((name, wall_rows_per_sec));
-        println!(
-            "serve/{:<32} {:>12?}  {:>10.0} rows/s wall  {:>8.1} rows/s sim  \
-             latency p50 {p50} max {max} sim-ms  envelope {:.2}% of curation",
-            name,
-            elapsed,
-            wall_rows_per_sec,
-            report.rows_per_sim_sec,
-            timing.overhead_pct()
-        );
-        // The per-tick persistence curve: steady-state = delta appends,
-        // leaving out the base rewrites.
-        let ticks = &timing.checkpoint_ticks;
-        let steady: Vec<f64> =
-            ticks.iter().filter(|t| !t.wrote_base).map(|t| t.elapsed.as_secs_f64() * 1e3).collect();
-        let (tick4_ms, final_ms) = match steady.as_slice() {
-            [] => (0.0, 0.0),
-            s => (s[3.min(s.len() - 1)], s[s.len() - 1]),
-        };
-        if checkpointed {
-            println!(
-                "serve/{:<32} checkpoint {} writes, {} bytes total; steady-state \
-                 ms/tick: tick4 {tick4_ms:.3} final {final_ms:.3}",
-                name,
-                ticks.len(),
-                timing.checkpoint_bytes
-            );
-        }
-        let curve: Vec<Json> = ticks
-            .iter()
-            .map(|t| {
-                Json::obj([
-                    ("tick", Json::Num(t.tick as f64)),
-                    ("ms", Json::Num(t.elapsed.as_secs_f64() * 1e3)),
-                    ("bytes_written", Json::Num(t.bytes_written as f64)),
-                    ("wrote_base", Json::Bool(t.wrote_base)),
-                ])
-            })
-            .collect();
-        rows.push(Json::obj([
-            ("name", Json::Str(name.to_owned())),
-            ("checkpointed", Json::Bool(checkpointed)),
-            ("rows_ingested", Json::Num(report.rows_ingested as f64)),
-            ("batches", Json::Num(report.batches.len() as f64)),
-            ("ticks", Json::Num(report.ticks as f64)),
-            ("sim_ms", Json::Num(report.sim_ms as f64)),
-            ("rows_per_sim_sec", Json::Num(report.rows_per_sim_sec)),
-            ("wall_elapsed_ms", Json::Num(elapsed.as_secs_f64() * 1e3)),
-            ("wall_rows_per_sec", Json::Num(wall_rows_per_sec)),
-            ("latency_sim_ms_mean", Json::Num(mean)),
-            ("latency_sim_ms_p50", Json::Num(p50 as f64)),
-            ("latency_sim_ms_max", Json::Num(max as f64)),
-            ("setup_ms", Json::Num(timing.setup.as_secs_f64() * 1e3)),
-            ("generation_ms", Json::Num(timing.generation.as_secs_f64() * 1e3)),
-            ("curation_ms", Json::Num(timing.curation.as_secs_f64() * 1e3)),
-            ("checkpoint_ms", Json::Num(timing.checkpoint.as_secs_f64() * 1e3)),
-            ("checkpoint_bytes", Json::Num(timing.checkpoint_bytes as f64)),
-            ("checkpoint_steady_ms_tick4", Json::Num(tick4_ms)),
-            ("checkpoint_steady_ms_final", Json::Num(final_ms)),
-            ("checkpoint_ticks", Json::Arr(curve)),
-            ("envelope_ms", Json::Num(timing.envelope().as_secs_f64() * 1e3)),
-            ("serving_overhead_pct_of_curation", Json::Num(timing.overhead_pct())),
-        ]));
-    }
-    if rows.is_empty() {
-        return;
-    }
-    let throughput_ratio = {
-        let wall = |n: &str| wall_by_name.iter().find(|(name, _)| *name == n).map(|&(_, w)| w);
-        match (wall("serve_ct2_wire_checkpoint"), wall("serve_ct2_no_checkpoint")) {
-            (Some(wire), Some(none)) if none > 0.0 => Some(wire / none),
-            _ => None,
-        }
-    };
-    if let Some(r) = throughput_ratio {
-        println!("serve/wire_vs_no_checkpoint_throughput   {:.1}%", 100.0 * r);
-    }
-    let report = Json::obj([
-        ("bench", Json::Str("serve".to_owned())),
-        ("source", Json::Str("cargo bench -p cm-bench --bench substrates -- serve".to_owned())),
-        (
-            "config",
-            Json::obj([
-                (
-                    "task",
-                    Json::Str(
-                        "CT2 profile scaled 0.02, 2560 rows in 40-row batches (64 ticks), seed 11"
-                            .to_owned(),
-                    ),
-                ),
-                (
-                    "acceptance",
-                    Json::Str(
-                        "steady-state checkpoint ms/tick flat (final within 2x of tick 4); \
-                         wire-checkpointed wall throughput >= 85% of no-checkpoint"
-                            .to_owned(),
-                    ),
-                ),
-            ]),
-        ),
-        ("wire_throughput_vs_no_checkpoint", throughput_ratio.map_or(Json::Null, Json::Num)),
-        ("results", Json::Arr(rows)),
-    ]);
-    let path = std::env::var("CM_SERVE_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_serve.json").to_owned()
-    });
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).unwrap();
-    }
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("serve: wrote {path}");
-}
-
 fn main() {
     let harness = Harness::from_args();
+    let par = ParConfig::from_env();
     bench_feature_generation(&harness);
-    bench_mining(&harness);
-    bench_label_model(&harness);
+    bench_mining(&harness, &par);
+    bench_label_model(&harness, &par);
     bench_propagation(&harness);
-    bench_training(&harness);
+    bench_training(&harness, &par);
     bench_par_substrate(&harness);
     bench_kernels(&harness);
     bench_end_to_end_curation(&harness);
     bench_faults(&harness);
-    bench_serve(&harness);
     bench_scale(&harness);
 }

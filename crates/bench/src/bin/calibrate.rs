@@ -5,9 +5,11 @@
 use cm_bench::{load_spec, spec_reservoir, spec_scale, spec_scenario, spec_seed, TaskRun};
 use cm_featurespace::FeatureSet;
 use cm_orgsim::TaskId;
+use cm_par::ParConfig;
 use cm_pipeline::{curate, CurationConfig, Scenario};
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("calibrate");
     let scale = spec_scale(&spec);
     let seed = spec_seed(&spec);
@@ -47,22 +49,25 @@ fn main() {
     }
 
     let runner = run.runner();
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     println!("baseline (embeddings only, fully supervised) AUPRC = {baseline:.4}");
 
     let curation = curate(d, &run.curation_config(seed));
     let sets = FeatureSet::SHARED;
     for (name, eval) in [
-        ("text-only", runner.run(&spec_scenario(&spec, "text-only T+ABCD"), None)),
-        ("image-WS", runner.run(&spec_scenario(&spec, "image-only I+ABCD"), Some(&curation))),
-        ("cross-modal", runner.run(&spec_scenario(&spec, "cross-modal T,I+ABCD"), Some(&curation))),
+        ("text-only", runner.run(&spec_scenario(&spec, "text-only T+ABCD"), None, &par)),
+        ("image-WS", runner.run(&spec_scenario(&spec, "image-only I+ABCD"), Some(&curation), &par)),
+        (
+            "cross-modal",
+            runner.run(&spec_scenario(&spec, "cross-modal T,I+ABCD"), Some(&curation), &par),
+        ),
         (
             "fully-sup n=1000",
-            runner.run(&Scenario::fully_supervised(&sets, (1000.0 * scale) as usize), None),
+            runner.run(&Scenario::fully_supervised(&sets, (1000.0 * scale) as usize), None, &par),
         ),
         (
             "fully-sup n=all",
-            runner.run(&Scenario::fully_supervised(&sets, d.labeled_image.len()), None),
+            runner.run(&Scenario::fully_supervised(&sets, d.labeled_image.len()), None, &par),
         ),
     ] {
         let eval = eval.unwrap();

@@ -22,6 +22,7 @@ use cm_bench::{
 use cm_eval::{find_crossover, CrossoverSeries};
 use cm_featurespace::FeatureSet;
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, Scenario};
 
 struct Panel {
@@ -45,6 +46,7 @@ impl ToJson for Panel {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("fig5");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -64,11 +66,11 @@ fn main() {
             // LFs always use all four sets (+ nonservable features); only
             // the end model is restricted.
             let curation = curate(&run.data, &run.curation_config(seed));
-            let baseline = runner.baseline_auprc().unwrap();
+            let baseline = runner.baseline_auprc(&par).unwrap();
             baselines.push(baseline);
 
             let cross = spec_scenario(&spec, &format!("cross-modal T,I+{label}"));
-            cross_aps.push(runner.run(&cross, Some(&curation)).unwrap().auprc);
+            cross_aps.push(runner.run(&cross, Some(&curation), &par).unwrap().auprc);
 
             for (i, &n) in
                 [250.0f64, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16_000.0].iter().enumerate()
@@ -77,7 +79,8 @@ fn main() {
                 if n < 32 || n > run.data.labeled_image.len() {
                     continue;
                 }
-                let eval = runner.run(&Scenario::fully_supervised(&end_sets, n), None).unwrap();
+                let eval =
+                    runner.run(&Scenario::fully_supervised(&end_sets, n), None, &par).unwrap();
                 if curve_acc.len() <= i {
                     curve_acc.push((n as f64, Vec::new()));
                 }

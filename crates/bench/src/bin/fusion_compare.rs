@@ -16,6 +16,7 @@ use cm_bench::{
     spec_seeds, task_selected, TaskRun,
 };
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::curate;
 
 struct Row {
@@ -39,6 +40,7 @@ impl ToJson for Row {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("fusion_compare");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -67,9 +69,9 @@ fn main() {
             let runner = run.runner();
             let curation = curate(&run.data, &run.curation_config(seed));
 
-            let e = runner.run(&early_s, Some(&curation)).unwrap().auprc;
-            let i = runner.run(&inter_s, Some(&curation)).unwrap().auprc;
-            let d = runner.run(&devise_s, Some(&curation)).unwrap().auprc;
+            let e = runner.run(&early_s, Some(&curation), &par).unwrap().auprc;
+            let i = runner.run(&inter_s, Some(&curation), &par).unwrap().auprc;
+            let d = runner.run(&devise_s, Some(&curation), &par).unwrap().auprc;
             early_v.push(e);
             if i > 1e-9 {
                 vs_int.push(e / i);
@@ -81,8 +83,8 @@ fn main() {
             // Features vs raw embedding, same weak labels: image-only with
             // shared feature sets vs image-only with only the
             // modality-specific features (embedding and friends).
-            let feats = runner.run(&feats_s, Some(&curation)).unwrap().auprc;
-            let raw_ap = runner.run(&raw_s, Some(&curation)).unwrap().auprc;
+            let feats = runner.run(&feats_s, Some(&curation), &par).unwrap().auprc;
+            let raw_ap = runner.run(&raw_s, Some(&curation), &par).unwrap().auprc;
             if raw_ap > 1e-9 {
                 feat_raw.push(feats / raw_ap);
             }

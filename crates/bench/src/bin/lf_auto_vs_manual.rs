@@ -20,6 +20,7 @@ use cm_bench::{
     TaskRun,
 };
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, curate_with_lfs, expert_lfs, EXPERT_AUTHORING};
 
 struct Side {
@@ -49,6 +50,7 @@ impl ToJson for Side {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("lf_auto_vs_manual");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -66,7 +68,7 @@ fn main() {
 
         let mined = curate(&run.data, &cfg);
         let mined_time = mined.mining_time + mined.propagation_time.unwrap_or(Duration::ZERO);
-        let mined_auprc = runner.run(&scenario, Some(&mined)).unwrap().auprc;
+        let mined_auprc = runner.run(&scenario, Some(&mined), &par).unwrap().auprc;
         acc[0].push([
             mined_time.as_secs_f64(),
             (mined.lf_names.len()) as f64,
@@ -78,11 +80,11 @@ fn main() {
         ]);
 
         let lfs = expert_lfs(run.data.world.schema()).unwrap();
-        let expert = curate_with_lfs(&run.data, &cfg, lfs, EXPERT_AUTHORING);
+        let expert = curate_with_lfs(&run.data, &cfg, lfs, EXPERT_AUTHORING, &par);
         // The expert's clock is authoring time; propagation (if used) runs
         // for both sides.
         let expert_time = EXPERT_AUTHORING + expert.propagation_time.unwrap_or(Duration::ZERO);
-        let expert_auprc = runner.run(&scenario, Some(&expert)).unwrap().auprc;
+        let expert_auprc = runner.run(&scenario, Some(&expert), &par).unwrap().auprc;
         acc[1].push([
             expert_time.as_secs_f64(),
             (expert.lf_names.len()) as f64,

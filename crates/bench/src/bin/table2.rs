@@ -19,6 +19,7 @@ use cm_bench::{
 use cm_eval::{find_crossover, CrossoverSeries};
 use cm_featurespace::FeatureSet;
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, Scenario};
 
 struct Row {
@@ -48,6 +49,7 @@ impl ToJson for Row {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("table2");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -80,12 +82,12 @@ fn main() {
             let run = TaskRun::new(id, scale, seed, spec_reservoir(&spec, scale));
             let runner = run.runner();
             let curation = curate(&run.data, &run.curation_config(seed));
-            let baseline = runner.baseline_auprc().unwrap();
+            let baseline = runner.baseline_auprc(&par).unwrap();
             baselines.push(baseline);
 
-            let text = runner.run_relative(&text_s, None, baseline).unwrap();
-            let image = runner.run_relative(&image_s, Some(&curation), baseline).unwrap();
-            let cross = runner.run_relative(&cross_s, Some(&curation), baseline).unwrap();
+            let text = runner.run_relative(&text_s, None, baseline, &par).unwrap();
+            let image = runner.run_relative(&image_s, Some(&curation), baseline, &par).unwrap();
+            let cross = runner.run_relative(&cross_s, Some(&curation), baseline, &par).unwrap();
             text_rels.push(text.relative_auprc.unwrap_or(0.0));
             image_rels.push(image.relative_auprc.unwrap_or(0.0));
             cross_rels.push(cross.relative_auprc.unwrap_or(0.0));
@@ -97,7 +99,7 @@ fn main() {
                 if n < 32 || n > reservoir {
                     continue;
                 }
-                let eval = runner.run(&Scenario::fully_supervised(&sets, n), None).unwrap();
+                let eval = runner.run(&Scenario::fully_supervised(&sets, n), None, &par).unwrap();
                 curve.push((n as f64, eval.auprc));
                 max_swept = max_swept.max(n as f64);
             }

@@ -16,6 +16,7 @@ use cm_bench::{
     spec_seeds, task_selected, TaskRun,
 };
 use cm_json::{Json, ToJson};
+use cm_par::ParConfig;
 use cm_pipeline::{curate, CurationConfig};
 
 struct Row {
@@ -43,6 +44,7 @@ impl ToJson for Row {
 }
 
 fn main() {
+    let par = ParConfig::from_env();
     let spec = load_spec("table3");
     let scale = spec_scale(&spec);
     let seeds = spec_seeds(&spec);
@@ -71,8 +73,8 @@ fn main() {
             );
             let with = curate(&run.data, &base_cfg);
 
-            let auprc_without = runner.run(&scenario, Some(&without)).unwrap().auprc;
-            let auprc_with = runner.run(&scenario, Some(&with)).unwrap().auprc;
+            let auprc_without = runner.run(&scenario, Some(&without), &par).unwrap().auprc;
+            let auprc_with = runner.run(&scenario, Some(&with), &par).unwrap().auprc;
 
             let ratio = |a: f64, b: f64| if b > 1e-9 { a / b } else { 0.0 };
             ratios.push([

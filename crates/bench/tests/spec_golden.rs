@@ -9,6 +9,7 @@
 use cm_bench::{load_spec, spec_reservoir, spec_scenario, TaskRun};
 use cm_featurespace::FeatureSet;
 use cm_orgsim::TaskId;
+use cm_par::ParConfig;
 use cm_pipeline::{curate, FusionStrategy, LabelSource, Scenario};
 
 #[test]
@@ -61,12 +62,13 @@ fn spec_driven_scenarios_train_bit_identically_to_code_defined() {
     let run = TaskRun::new(TaskId::Ct2, 0.03, 17, Some(400));
     let curation = curate(&run.data, &run.curation_config(17));
     let runner = run.runner();
+    let par = ParConfig::serial();
     for (name, code) in [
         ("cross-modal T,I+ABCD", Scenario::cross_modal(&FeatureSet::SHARED)),
         ("image-only I+ABCD", Scenario::image_only(&FeatureSet::SHARED)),
     ] {
-        let from_spec = runner.run(&spec_scenario(&spec, name), Some(&curation)).unwrap();
-        let from_code = runner.run(&code, Some(&curation)).unwrap();
+        let from_spec = runner.run(&spec_scenario(&spec, name), Some(&curation), &par).unwrap();
+        let from_code = runner.run(&code, Some(&curation), &par).unwrap();
         assert_eq!(from_spec, from_code, "{name}");
         assert_eq!(from_spec.auprc.to_bits(), from_code.auprc.to_bits(), "{name}");
     }

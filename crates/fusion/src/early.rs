@@ -2,6 +2,7 @@
 
 use cm_linalg::Matrix;
 use cm_models::{train_model, ModelKind, TrainConfig, TrainedModel};
+use cm_par::ParConfig;
 
 use crate::{concat_parts, ModalityData};
 
@@ -21,14 +22,15 @@ impl EarlyFusionModel {
         kind: &ModelKind,
         config: &TrainConfig,
         validation: Option<(&Matrix, &[f64])>,
+        par: &ParConfig,
     ) -> Self {
         let (x, y) = concat_parts(parts);
-        Self { model: train_model(kind, &x, &y, config, validation) }
+        Self { model: train_model(kind, &x, &y, config, validation, par) }
     }
 
     /// Positive-class probabilities in the shared layout.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        self.model.predict_proba(x)
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+        self.model.predict_proba(x, par)
     }
 
     /// The underlying trained model.
@@ -46,15 +48,16 @@ mod tests {
 
     #[test]
     fn combining_modalities_beats_single_modality() {
+        let par = ParConfig::serial();
         let (old, new, xt, yt) = two_modality_task(600, 3);
         let kind = ModelKind::Mlp { hidden: vec![16] };
         let cfg = TrainConfig { epochs: 30, patience: None, ..Default::default() };
         let pos: Vec<bool> = yt.iter().map(|&v| v >= 0.5).collect();
 
-        let both = EarlyFusionModel::train(&[old.clone(), new.clone()], &kind, &cfg, None);
-        let old_only = EarlyFusionModel::train(&[old], &kind, &cfg, None);
-        let ap_both = auprc(&both.predict_proba(&xt), &pos);
-        let ap_old = auprc(&old_only.predict_proba(&xt), &pos);
+        let both = EarlyFusionModel::train(&[old.clone(), new.clone()], &kind, &cfg, None, &par);
+        let old_only = EarlyFusionModel::train(&[old], &kind, &cfg, None, &par);
+        let ap_both = auprc(&both.predict_proba(&xt, &par), &pos);
+        let ap_old = auprc(&old_only.predict_proba(&xt, &par), &pos);
         // Test rows are new-modality; the old-only model never saw the
         // new modality's specific feature and should do worse.
         assert!(ap_both > ap_old, "early fusion {ap_both} should beat old-only {ap_old}");
@@ -63,10 +66,11 @@ mod tests {
 
     #[test]
     fn works_with_logistic_family() {
+        let par = ParConfig::serial();
         let (old, new, xt, yt) = two_modality_task(400, 5);
         let cfg = TrainConfig::default();
-        let m = EarlyFusionModel::train(&[old, new], &ModelKind::Logistic, &cfg, None);
+        let m = EarlyFusionModel::train(&[old, new], &ModelKind::Logistic, &cfg, None, &par);
         let pos: Vec<bool> = yt.iter().map(|&v| v >= 0.5).collect();
-        assert!(auprc(&m.predict_proba(&xt), &pos) > 0.55);
+        assert!(auprc(&m.predict_proba(&xt, &par), &pos) > 0.55);
     }
 }

@@ -195,16 +195,7 @@ pub struct WarmStart {
 }
 
 impl GenerativeModel {
-    /// Fits the model on a label matrix with EM.
-    ///
-    /// # Panics
-    /// Panics if the matrix has no LFs.
-    pub fn fit(matrix: &LabelMatrix, config: &GenerativeConfig) -> Self {
-        Self::fit_with(matrix, config, &ParConfig::from_env())
-    }
-
-    /// [`GenerativeModel::fit`] with an explicit parallel configuration:
-    /// the matrix folds into its [`VotePatterns`] table and the fit runs
+    /// Fits the model on a label matrix with EM: the matrix folds into its [`VotePatterns`] table and the fit runs
     /// over the patterns ([`GenerativeModel::fit_patterns`]).
     ///
     /// Produces bit-identical parameters and posteriors for any thread
@@ -214,7 +205,7 @@ impl GenerativeModel {
     ///
     /// # Panics
     /// Panics if the matrix has no LFs.
-    pub fn fit_with(matrix: &LabelMatrix, config: &GenerativeConfig, par: &ParConfig) -> Self {
+    pub fn fit(matrix: &LabelMatrix, config: &GenerativeConfig, par: &ParConfig) -> Self {
         Self::fit_patterns(&VotePatterns::from_matrix(matrix), config, None, par)
     }
 
@@ -328,23 +319,14 @@ impl GenerativeModel {
         GenerativeModel { accuracies, class_prior, iterations }
     }
 
-    /// Probabilistic labels for a (possibly different) label matrix.
-    ///
-    /// Rows where every LF abstains get the class prior.
-    ///
-    /// # Panics
-    /// Panics if the LF count differs from the fitted matrix.
-    pub fn predict(&self, matrix: &LabelMatrix) -> Vec<f64> {
-        self.predict_with(matrix, &ParConfig::from_env())
-    }
-
-    /// [`GenerativeModel::predict`] with an explicit parallel configuration:
+    /// Probabilistic labels for a (possibly different) label matrix:
     /// [`GenerativeModel::predict_patterns`] over the matrix's pattern
-    /// table, scattered back to rows.
+    /// table, scattered back to rows. Rows where every LF abstains get the
+    /// class prior.
     ///
     /// # Panics
     /// Panics if the LF count differs from the fitted matrix.
-    pub fn predict_with(&self, matrix: &LabelMatrix, par: &ParConfig) -> Vec<f64> {
+    pub fn predict(&self, matrix: &LabelMatrix, par: &ParConfig) -> Vec<f64> {
         assert_eq!(matrix.n_lfs(), self.accuracies.len(), "LF count mismatch");
         let patterns = VotePatterns::from_matrix(matrix);
         patterns.scatter(&self.predict_patterns(&patterns, par))
@@ -620,7 +602,7 @@ mod tests {
     #[test]
     fn em_recovers_accuracy_ordering() {
         let (m, _) = synthetic(5000, 0.3, &[(0.95, 0.8), (0.7, 0.8), (0.6, 0.8)], 1);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model = GenerativeModel::fit(&m, &GenerativeConfig::default(), &ParConfig::serial());
         let acc = model.accuracies();
         assert!(acc[0] > acc[1], "acc {acc:?}");
         assert!(acc[1] > acc[2], "acc {acc:?}");
@@ -629,9 +611,10 @@ mod tests {
 
     #[test]
     fn posterior_beats_majority_vote_with_unequal_lfs() {
+        let par = ParConfig::serial();
         let (m, truth) = synthetic(8000, 0.4, &[(0.95, 0.9), (0.56, 0.9), (0.56, 0.9)], 2);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
-        let probs = model.predict(&m);
+        let model = GenerativeModel::fit(&m, &GenerativeConfig::default(), &par);
+        let probs = model.predict(&m, &par);
         let mv = majority_vote(&m);
         let err = |pred: &[f64]| -> f64 {
             pred.iter()
@@ -651,7 +634,7 @@ mod tests {
     #[test]
     fn prior_estimation_tracks_true_rate() {
         let (m, truth) = synthetic(10_000, 0.15, &[(0.9, 0.9), (0.85, 0.9)], 3);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model = GenerativeModel::fit(&m, &GenerativeConfig::default(), &ParConfig::serial());
         let true_rate = truth.iter().filter(|&&t| t).count() as f64 / truth.len() as f64;
         assert!(
             (model.class_prior() - true_rate).abs() < 0.05,
@@ -665,16 +648,17 @@ mod tests {
     fn fixed_prior_is_respected() {
         let (m, _) = synthetic(1000, 0.3, &[(0.9, 0.9)], 4);
         let cfg = GenerativeConfig { class_prior: Some(0.2), ..Default::default() };
-        let model = GenerativeModel::fit(&m, &cfg);
+        let model = GenerativeModel::fit(&m, &cfg, &ParConfig::serial());
         assert_eq!(model.class_prior(), 0.2);
     }
 
     #[test]
     fn all_abstain_rows_get_prior() {
+        let par = ParConfig::serial();
         let m = LabelMatrix::from_votes(2, 1, vec![0, 1], vec!["a".into()]);
         let cfg = GenerativeConfig { class_prior: Some(0.25), ..Default::default() };
-        let model = GenerativeModel::fit(&m, &cfg);
-        let probs = model.predict(&m);
+        let model = GenerativeModel::fit(&m, &cfg, &par);
+        let probs = model.predict(&m, &par);
         assert_eq!(probs[0], 0.25);
         // A single positive vote lifts the posterior above the prior (the
         // degenerate 2-row matrix can't push it past 0.5).
@@ -691,11 +675,12 @@ mod tests {
 
     #[test]
     fn fit_is_deterministic() {
+        let par = ParConfig::serial();
         let (m, _) = synthetic(2000, 0.3, &[(0.9, 0.8), (0.7, 0.8)], 5);
-        let a = GenerativeModel::fit(&m, &GenerativeConfig::default());
-        let b = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let a = GenerativeModel::fit(&m, &GenerativeConfig::default(), &par);
+        let b = GenerativeModel::fit(&m, &GenerativeConfig::default(), &par);
         assert_eq!(a.accuracies(), b.accuracies());
-        assert_eq!(a.predict(&m), b.predict(&m));
+        assert_eq!(a.predict(&m, &par), b.predict(&m, &par));
     }
 
     #[test]
@@ -703,11 +688,11 @@ mod tests {
         // 20k rows x 3 LFs = 60k cells, above the parallel threshold.
         let (m, _) = synthetic(20_000, 0.3, &[(0.9, 0.8), (0.7, 0.8), (0.6, 0.5)], 11);
         let cfg = GenerativeConfig::default();
-        let base = GenerativeModel::fit_with(&m, &cfg, &ParConfig::threads(1));
-        let base_probs = base.predict_with(&m, &ParConfig::threads(1));
+        let base = GenerativeModel::fit(&m, &cfg, &ParConfig::threads(1));
+        let base_probs = base.predict(&m, &ParConfig::threads(1));
         for threads in [2usize, 4, 8] {
             let par = ParConfig::threads(threads);
-            let model = GenerativeModel::fit_with(&m, &cfg, &par);
+            let model = GenerativeModel::fit(&m, &cfg, &par);
             assert_eq!(model.accuracies(), base.accuracies(), "threads = {threads}");
             assert_eq!(
                 model.class_prior().to_bits(),
@@ -715,7 +700,7 @@ mod tests {
                 "threads = {threads}"
             );
             assert_eq!(model.iterations(), base.iterations(), "threads = {threads}");
-            let probs = model.predict_with(&m, &par);
+            let probs = model.predict(&m, &par);
             assert_eq!(probs, base_probs, "threads = {threads}");
         }
     }
@@ -755,16 +740,17 @@ mod tests {
     #[should_panic(expected = "zero LFs")]
     fn fit_rejects_empty_lf_set() {
         let m = LabelMatrix::from_votes(1, 0, vec![], vec![]);
-        GenerativeModel::fit(&m, &GenerativeConfig::default());
+        GenerativeModel::fit(&m, &GenerativeConfig::default(), &ParConfig::serial());
     }
 
     #[test]
     #[should_panic(expected = "LF count mismatch")]
     fn predict_rejects_mismatched_matrix() {
+        let par = ParConfig::serial();
         let (m, _) = synthetic(100, 0.3, &[(0.9, 0.9)], 6);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model = GenerativeModel::fit(&m, &GenerativeConfig::default(), &par);
         let (m2, _) = synthetic(100, 0.3, &[(0.9, 0.9), (0.8, 0.9)], 7);
-        model.predict(&m2);
+        model.predict(&m2, &par);
     }
 
     /// A warm start built from the cold-start constants must reproduce the
@@ -782,7 +768,7 @@ mod tests {
         let patterns = VotePatterns::from_matrix(&m);
         for threads in [1usize, 4] {
             let par = ParConfig::threads(threads);
-            let cold = GenerativeModel::fit_with(&m, &cfg, &par);
+            let cold = GenerativeModel::fit(&m, &cfg, &par);
             let warmed = GenerativeModel::fit_patterns(&patterns, &cfg, Some(&warm), &par);
             assert_eq!(cold.accuracies(), warmed.accuracies(), "threads = {threads}");
             assert_eq!(cold.class_prior().to_bits(), warmed.class_prior().to_bits());
@@ -798,7 +784,7 @@ mod tests {
         let (m, _) = synthetic(20_000, 0.3, &[(0.9, 0.8), (0.7, 0.8), (0.6, 0.5)], 11);
         let cfg = GenerativeConfig::default();
         let par = ParConfig::threads(2);
-        let cold = GenerativeModel::fit_with(&m, &cfg, &par);
+        let cold = GenerativeModel::fit(&m, &cfg, &par);
         let warm = cold.warm_start();
         let refit =
             GenerativeModel::fit_patterns(&VotePatterns::from_matrix(&m), &cfg, Some(&warm), &par);
@@ -818,14 +804,15 @@ mod tests {
     /// the checkpoint restore contract.
     #[test]
     fn from_params_round_trips_predictions() {
+        let par = ParConfig::serial();
         let (m, _) = synthetic(3000, 0.2, &[(0.9, 0.7), (0.8, 0.5), (0.6, 0.3)], 8);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
+        let model = GenerativeModel::fit(&m, &GenerativeConfig::default(), &par);
         let rebuilt = GenerativeModel::from_params(
             model.accuracies().to_vec(),
             model.class_prior(),
             model.iterations(),
         );
-        assert_eq!(model.predict(&m), rebuilt.predict(&m));
+        assert_eq!(model.predict(&m, &par), rebuilt.predict(&m, &par));
         assert_eq!(model.warm_start(), rebuilt.warm_start());
     }
 
@@ -844,9 +831,10 @@ mod tests {
 
     #[test]
     fn posteriors_are_probabilities() {
+        let par = ParConfig::serial();
         let (m, _) = synthetic(3000, 0.2, &[(0.9, 0.7), (0.8, 0.5), (0.6, 0.3)], 8);
-        let model = GenerativeModel::fit(&m, &GenerativeConfig::default());
-        for p in model.predict(&m) {
+        let model = GenerativeModel::fit(&m, &GenerativeConfig::default(), &par);
+        for p in model.predict(&m, &par) {
             assert!((0.0..=1.0).contains(&p), "posterior {p} out of range");
             assert!(!p.is_nan());
         }
@@ -912,7 +900,7 @@ mod tests {
                         "{ctx}"
                     );
                     assert_eq!(model.iterations(), reference.iterations(), "{ctx}");
-                    assert_eq!(bits(&model.predict_with(&m, &par)), reference_probs, "{ctx}");
+                    assert_eq!(bits(&model.predict(&m, &par)), reference_probs, "{ctx}");
                 }
             }
         }

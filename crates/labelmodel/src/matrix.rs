@@ -120,6 +120,7 @@ impl LabelMatrix {
     /// large enough to pay for it; votes are pure per-row writes, so the
     /// matrix is bit-identical at every thread count.
     pub fn apply(table: &FeatureTable, lfs: &[Box<dyn LabelingFunction>]) -> Self {
+        // lint: allow(par-from-env) — the perfbench adapter calls LabelMatrix::apply
         Self::apply_with(table, lfs, &ParConfig::from_env())
     }
 
@@ -220,40 +221,24 @@ impl LabelMatrix {
         &self.votes[row * self.n_lfs..(row + 1) * self.n_lfs]
     }
 
-    /// Fraction of rows where at least one LF does not abstain.
-    pub fn coverage(&self) -> f64 {
-        self.vote_stats().coverage
-    }
-
-    /// Coverage, overlap, and conflict in one parallel pass.
-    pub fn vote_stats(&self) -> VoteStats {
-        self.vote_stats_with(&ParConfig::from_env())
-    }
-
-    /// [`LabelMatrix::vote_stats`] with an explicit parallel
-    /// configuration. Chunk counts are integers folded in chunk index
-    /// order, so the resulting ratios are bit-identical at every thread
-    /// count — the regression test below pins them.
+    /// Coverage, overlap, and conflict in one parallel pass. Chunk counts
+    /// are integers folded in chunk index order, so the resulting ratios
+    /// are bit-identical at every thread count — the regression test below
+    /// pins them.
     ///
     /// # Panics
     /// Re-raises a worker panic.
-    pub fn vote_stats_with(&self, par: &ParConfig) -> VoteStats {
-        VoteStats::from_counts(self.vote_counts_with(par))
+    pub fn vote_stats(&self, par: &ParConfig) -> VoteStats {
+        VoteStats::from_counts(self.vote_counts(par))
     }
 
     /// The mergeable [`VoteCounts`] sufficient statistic for this matrix.
-    pub fn vote_counts(&self) -> VoteCounts {
-        self.vote_counts_with(&ParConfig::from_env())
-    }
-
-    /// [`LabelMatrix::vote_counts`] with an explicit parallel
-    /// configuration. Integer counts, so the result is exact and merging
-    /// per-segment counts reproduces the whole-matrix counts for any row
-    /// partition.
+    /// Integer counts, so the result is exact and merging per-segment
+    /// counts reproduces the whole-matrix counts for any row partition.
     ///
     /// # Panics
     /// Re-raises a worker panic.
-    pub fn vote_counts_with(&self, par: &ParConfig) -> VoteCounts {
+    pub fn vote_counts(&self, par: &ParConfig) -> VoteCounts {
         if self.n_rows == 0 {
             return VoteCounts::default();
         }
@@ -279,16 +264,6 @@ impl LabelMatrix {
         }
         let n = (0..self.n_rows).filter(|&r| self.row(r)[lf] != 0).count();
         n as f64 / self.n_rows as f64
-    }
-
-    /// Fraction of rows labeled by two or more LFs.
-    pub fn overlap(&self) -> f64 {
-        self.vote_stats().overlap
-    }
-
-    /// Fraction of rows with at least one positive and one negative vote.
-    pub fn conflict(&self) -> f64 {
-        self.vote_stats().conflict
     }
 
     /// Rows labeled by at least one LF (the trainable subset).
@@ -390,18 +365,16 @@ mod tests {
         // LF0 labels even rows +, LF1 labels odd rows -: full coverage,
         // no overlap, no conflict.
         let m = LabelMatrix::apply(&table(10), &lfs());
-        assert_eq!(m.coverage(), 1.0);
-        assert_eq!(m.overlap(), 0.0);
-        assert_eq!(m.conflict(), 0.0);
+        let s = m.vote_stats(&ParConfig::serial());
+        assert_eq!((s.coverage, s.overlap, s.conflict), (1.0, 0.0, 0.0));
         assert_eq!(m.lf_coverage(0), 0.5);
     }
 
     #[test]
     fn conflict_detected() {
         let m = LabelMatrix::from_votes(2, 2, vec![1, -1, 0, 0], vec!["a".into(), "b".into()]);
-        assert_eq!(m.conflict(), 0.5);
-        assert_eq!(m.overlap(), 0.5);
-        assert_eq!(m.coverage(), 0.5);
+        let s = m.vote_stats(&ParConfig::serial());
+        assert_eq!((s.coverage, s.overlap, s.conflict), (0.5, 0.5, 0.5));
         assert_eq!(m.covered_rows(), vec![0]);
     }
 
@@ -447,14 +420,14 @@ mod tests {
             votes.extend_from_slice(&pair);
         }
         let m = LabelMatrix::from_votes(n, 2, votes, vec!["a".into(), "b".into()]);
-        let serial = m.vote_stats_with(&ParConfig::serial());
+        let serial = m.vote_stats(&ParConfig::serial());
         assert_eq!(serial.coverage, 0.875);
         assert_eq!(serial.overlap, 0.375);
         assert_eq!(serial.conflict, 0.125);
         let summed = serial.coverage + serial.overlap + serial.conflict;
         assert_eq!(summed.to_bits(), 1.375f64.to_bits());
         for threads in [2usize, 4, 8] {
-            let par = m.vote_stats_with(&ParConfig::threads(threads));
+            let par = m.vote_stats(&ParConfig::threads(threads));
             assert_eq!(par, serial, "threads = {threads}");
             let par_summed = par.coverage + par.overlap + par.conflict;
             assert_eq!(par_summed.to_bits(), summed.to_bits(), "threads = {threads}");
@@ -512,7 +485,7 @@ mod tests {
             votes.extend_from_slice(&pair);
         }
         let m = LabelMatrix::from_votes(n, 2, votes, vec!["a".into(), "b".into()]);
-        let whole = m.vote_counts_with(&ParConfig::serial());
+        let whole = m.vote_counts(&ParConfig::serial());
         assert_eq!(whole.n_rows, n);
         for cuts in [vec![1, 2, 3], vec![512], vec![9973, 20_000], vec![n]] {
             let mut merged = VoteCounts::default();
@@ -520,19 +493,18 @@ mod tests {
             for end in cuts.iter().copied().chain([n]) {
                 let seg_votes = m.votes[start * 2..end * 2].to_vec();
                 let seg = LabelMatrix::from_votes(end - start, 2, seg_votes, m.names.clone());
-                merged = merged.merge(seg.vote_counts_with(&ParConfig::serial()));
+                merged = merged.merge(seg.vote_counts(&ParConfig::serial()));
                 start = end;
             }
             assert_eq!(merged, whole, "cuts = {cuts:?}");
-            assert_eq!(VoteStats::from_counts(merged), m.vote_stats_with(&ParConfig::serial()));
+            assert_eq!(VoteStats::from_counts(merged), m.vote_stats(&ParConfig::serial()));
         }
     }
 
     #[test]
     fn empty_matrix_statistics() {
         let m = LabelMatrix::from_votes(0, 1, vec![], vec!["a".into()]);
-        assert_eq!(m.coverage(), 0.0);
-        assert_eq!(m.overlap(), 0.0);
-        assert_eq!(m.conflict(), 0.0);
+        let s = m.vote_stats(&ParConfig::serial());
+        assert_eq!((s.coverage, s.overlap, s.conflict), (0.0, 0.0, 0.0));
     }
 }

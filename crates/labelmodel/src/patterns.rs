@@ -452,7 +452,7 @@ mod tests {
             let m = random_matrix(n, n_lfs, fire, seed);
             let p = VotePatterns::from_matrix(&m);
             for threads in [1usize, 2, 4] {
-                assert_eq!(p.vote_counts(), m.vote_counts_with(&ParConfig::threads(threads)));
+                assert_eq!(p.vote_counts(), m.vote_counts(&ParConfig::threads(threads)));
             }
             let folded: Vec<u64> = p.abstain_rates().iter().map(|x| x.to_bits()).collect();
             let rowwise: Vec<u64> = abstain_rates_rowwise(&m).iter().map(|x| x.to_bits()).collect();

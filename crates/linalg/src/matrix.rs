@@ -132,21 +132,13 @@ impl Matrix {
     /// Uses a row-blocked ikj kernel: the inner loop streams over
     /// contiguous memory in both the output rows and the `other` row, and
     /// [`MATMUL_ROW_BLOCK`] output rows share each fetched `other` row.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_with(other, &ParConfig::from_env())
-    }
-
-    /// [`Matrix::matmul`] with an explicit parallel configuration. Output
-    /// rows are independent, so the product is bit-identical at every
-    /// thread count.
+    /// Output rows are independent, so the product is bit-identical at
+    /// every thread count.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`, or re-raises a worker
     /// panic.
-    pub fn matmul_with(&self, other: &Matrix, par: &ParConfig) -> Matrix {
+    pub fn matmul(&self, other: &Matrix, par: &ParConfig) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -426,7 +418,7 @@ mod tests {
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = a.matmul(&b, &ParConfig::serial());
         assert_eq!(c.row(0), &[19.0, 22.0]);
         assert_eq!(c.row(1), &[43.0, 50.0]);
     }
@@ -435,7 +427,7 @@ mod tests {
     fn matmul_identity_is_noop() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let i = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert_eq!(a.matmul(&i), a);
+        assert_eq!(a.matmul(&i, &ParConfig::serial()), a);
     }
 
     #[test]
@@ -443,7 +435,7 @@ mod tests {
     fn matmul_rejects_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = a.matmul(&b, &ParConfig::serial());
     }
 
     #[test]
@@ -460,7 +452,7 @@ mod tests {
                 }
             });
             let b = Matrix::from_fn(k, n, |r, c| ((r * 13 + c * 5) % 11) as f32 * 0.37 - 1.0);
-            let blocked = a.matmul_with(&b, &ParConfig::serial());
+            let blocked = a.matmul(&b, &ParConfig::serial());
             let reference = a.matmul_reference(&b);
             assert_eq!(blocked, reference, "shape {m}x{k}x{n}");
         }
@@ -471,9 +463,9 @@ mod tests {
         // 128 x 128 x 128 = 2M MACs, above the parallel threshold.
         let a = Matrix::from_fn(128, 128, |r, c| ((r * 31 + c * 17) % 13) as f32 - 6.0);
         let b = Matrix::from_fn(128, 128, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.25);
-        let serial = a.matmul_with(&b, &ParConfig::serial());
+        let serial = a.matmul(&b, &ParConfig::serial());
         for threads in [2usize, 4, 8] {
-            let par = a.matmul_with(&b, &ParConfig::threads(threads));
+            let par = a.matmul(&b, &ParConfig::threads(threads));
             assert_eq!(par, serial, "threads = {threads}");
         }
     }

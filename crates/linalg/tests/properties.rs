@@ -2,6 +2,7 @@
 
 use cm_linalg::rng::{Rng, StdRng};
 use cm_linalg::{dot, softmax_in_place, Matrix};
+use cm_par::ParConfig;
 
 const CASES: u64 = 48;
 
@@ -24,13 +25,14 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
 /// (A B) C == A (B C) within float tolerance.
 #[test]
 fn matmul_is_associative() {
+    let par = ParConfig::serial();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xA550C ^ case);
         let a = matrix(&mut rng, 3, 4);
         let b = matrix(&mut rng, 4, 5);
         let c = matrix(&mut rng, 5, 2);
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = a.matmul(&b, &par).matmul(&c, &par);
+        let right = a.matmul(&b.matmul(&c, &par), &par);
         assert_close(&left, &right, 1e-2);
     }
 }
@@ -38,6 +40,7 @@ fn matmul_is_associative() {
 /// A (B + C) == A B + A C.
 #[test]
 fn matmul_distributes() {
+    let par = ParConfig::serial();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xD157 ^ case);
         let a = matrix(&mut rng, 3, 4);
@@ -45,9 +48,9 @@ fn matmul_distributes() {
         let c = matrix(&mut rng, 4, 3);
         let mut sum = b.clone();
         sum.add_assign(&c);
-        let left = a.matmul(&sum);
-        let mut right = a.matmul(&b);
-        right.add_assign(&a.matmul(&c));
+        let left = a.matmul(&sum, &par);
+        let mut right = a.matmul(&b, &par);
+        right.add_assign(&a.matmul(&c, &par));
         assert_close(&left, &right, 1e-3);
     }
 }
@@ -55,12 +58,13 @@ fn matmul_distributes() {
 /// (A B)^T == B^T A^T.
 #[test]
 fn transpose_reverses_products() {
+    let par = ParConfig::serial();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x7123 ^ case);
         let a = matrix(&mut rng, 3, 4);
         let b = matrix(&mut rng, 4, 2);
-        let left = a.matmul(&b).transpose();
-        let right = b.transpose().matmul(&a.transpose());
+        let left = a.matmul(&b, &par).transpose();
+        let right = b.transpose().matmul(&a.transpose(), &par);
         assert_close(&left, &right, 1e-4);
     }
 }
@@ -74,7 +78,7 @@ fn matvec_matches_matmul() {
         let x = vector(&mut rng, 3);
         let via_vec = a.matvec(&x);
         let col = Matrix::from_vec(3, 1, x);
-        let via_mat = a.matmul(&col);
+        let via_mat = a.matmul(&col, &ParConfig::serial());
         for (i, v) in via_vec.iter().enumerate() {
             assert!((v - via_mat[(i, 0)]).abs() < 1e-4);
         }

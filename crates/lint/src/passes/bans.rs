@@ -23,6 +23,7 @@ pub const RULES: &[&str] = &[
     "thread-scope",
     "instant-now",
     "systemtime-now",
+    "par-from-env",
     "table-row",
     "table-value",
     "stream-materialize",
@@ -51,6 +52,13 @@ const BANNED_PATHS: &[(&str, &str, &str, &str)] = &[
         "SystemTime",
         "now",
         "wall-clock reads go through cm-faults Stopwatch/SimClock",
+    ),
+    (
+        "par-from-env",
+        "ParConfig",
+        "from_env",
+        "library code takes an explicit &ParConfig; binaries, examples and benches read \
+         CM_THREADS once in main and pass it down",
     ),
     (
         "stream-materialize",

@@ -18,6 +18,7 @@ pub fn g() {
     std::thread::scope(|_s| {});
     let _t = std::time::Instant::now();
     let _u = std::time::SystemTime::now();
+    let _p = cm_par::ParConfig::from_env();
 }
 
 pub unsafe fn h() {}

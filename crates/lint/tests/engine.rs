@@ -36,6 +36,8 @@ fn flags_each_banned_token() {
     assert_eq!(rules_hit("let t = std::time::Instant::now();"), vec!["instant-now"]);
     assert_eq!(rules_hit("let t = Instant::now();"), vec!["instant-now"]);
     assert_eq!(rules_hit("let t = SystemTime::now();"), vec!["systemtime-now"]);
+    assert_eq!(rules_hit("let p = ParConfig::from_env();"), vec!["par-from-env"]);
+    assert_eq!(rules_hit("let p = cm_par::ParConfig::from_env();"), vec!["par-from-env"]);
 }
 
 #[test]

@@ -5,12 +5,14 @@
 //! [`crate::reference`]), one pass over the frozen columns builds a row
 //! bitset per distinct item, and every support after that is a
 //! popcount-AND — class-conditional supports against the class bitsets,
-//! higher-order conjunctions by intersecting member bitsets.
+//! higher-order conjunctions by intersecting member bitsets. The corpus is
+//! resident, so the item catalog and its bitsets come from one pass over
+//! the whole frozen table (the `catalog` module).
 
 use cm_featurespace::{Bitmap, FeatureTable, FrozenTable, Label};
 use cm_par::ParConfig;
 
-use crate::catalog::{ItemCatalog, ItemCatalogBuilder};
+use crate::catalog::ItemCatalog;
 use crate::discretize::Discretizer;
 
 /// Below this many rows the support passes stay serial; above it they chunk
@@ -106,19 +108,6 @@ pub struct MinedItemsets {
 /// first counted over the positive examples only; only survivors are counted
 /// over the negatives. Higher orders join items *within one column*.
 ///
-/// # Panics
-/// Panics if `labels.len() != table.len()`.
-pub fn mine_itemsets(
-    table: &FeatureTable,
-    labels: &[Label],
-    columns: &[usize],
-    config: &MiningConfig,
-) -> MinedItemsets {
-    mine_itemsets_with(table, labels, columns, config, &ParConfig::from_env())
-}
-
-/// [`mine_itemsets`] with an explicit parallel configuration.
-///
 /// The support passes chunk over itemsets; each itemset's supports are
 /// exact popcounts computed independently, so results are identical for
 /// any thread count — and identical to the row-at-a-time oracle in
@@ -128,7 +117,7 @@ pub fn mine_itemsets(
 ///
 /// # Panics
 /// Panics if `labels.len() != table.len()`.
-pub fn mine_itemsets_with(
+pub fn mine_itemsets(
     table: &FeatureTable,
     labels: &[Label],
     columns: &[usize],
@@ -136,28 +125,17 @@ pub fn mine_itemsets_with(
     par: &ParConfig,
 ) -> MinedItemsets {
     assert_eq!(table.len(), labels.len(), "label count mismatch");
-    // The resident path is the single-segment case of the streaming
-    // catalog build, so sharded mining agrees with it by construction.
     let frozen = FrozenTable::freeze(table);
-    let mut builder = ItemCatalogBuilder::new(table.schema(), columns, config.numeric_bins);
-    builder.observe(&frozen);
-    let catalog = builder.finish();
-    let mut item_bits = catalog.empty_bitsets();
-    catalog.fill(&frozen, 0, &mut item_bits);
-    mine_from_bitsets(&catalog, &item_bits, labels, config, par)
+    let catalog = ItemCatalog::build(&frozen, columns, config.numeric_bins);
+    mine_from_bitsets(&catalog, &catalog.bitsets(&frozen), labels, config, par)
 }
 
-/// Runs the candidate/join phases of the miner against a pre-built item
-/// catalog and its row bitsets — the entry point for sharded mining, where
-/// [`ItemCatalog::fill`] assembled the bitsets segment by segment.
-///
-/// Every counted quantity is an exact popcount over the same bitsets the
-/// resident path builds, so the output is identical for any segmentation
-/// that produced them.
+/// Runs the candidate/join phases of the miner against an item catalog
+/// and its row bitsets ([`ItemCatalog::bitsets`]).
 ///
 /// # Panics
 /// Panics if `labels` or `item_bits` disagree with the catalog's corpus.
-pub fn mine_from_bitsets(
+pub(crate) fn mine_from_bitsets(
     catalog: &ItemCatalog,
     item_bits: &[Bitmap],
     labels: &[Label],
@@ -354,7 +332,8 @@ mod tests {
     #[test]
     fn finds_positive_indicator() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let mined =
+            mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default(), &ParConfig::serial());
         let found = mined
             .positive
             .iter()
@@ -365,7 +344,8 @@ mod tests {
     #[test]
     fn finds_numeric_bin_indicator() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let mined =
+            mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default(), &ParConfig::serial());
         let found = mined
             .positive
             .iter()
@@ -377,7 +357,7 @@ mod tests {
     fn finds_negative_indicator() {
         let (t, labels) = dev(100, 900);
         let cfg = MiningConfig { min_neg_precision: 0.95, ..Default::default() };
-        let mined = mine_itemsets(&t, &labels, &[0], &cfg);
+        let mined = mine_itemsets(&t, &labels, &[0], &cfg, &ParConfig::serial());
         let found = mined
             .negative
             .iter()
@@ -388,7 +368,8 @@ mod tests {
     #[test]
     fn ambiguous_value_excluded_from_positives() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0], &MiningConfig::default());
+        let mined =
+            mine_itemsets(&t, &labels, &[0], &MiningConfig::default(), &ParConfig::serial());
         assert!(
             !mined
                 .positive
@@ -401,7 +382,8 @@ mod tests {
     #[test]
     fn precision_and_recall_are_exact() {
         let (t, labels) = dev(100, 900);
-        let mined = mine_itemsets(&t, &labels, &[0], &MiningConfig::default());
+        let mined =
+            mine_itemsets(&t, &labels, &[0], &MiningConfig::default(), &ParConfig::serial());
         let s = mined
             .positive
             .iter()
@@ -418,7 +400,7 @@ mod tests {
     fn thresholds_filter_results() {
         let (t, labels) = dev(100, 900);
         let strict = MiningConfig { min_precision: 0.99, ..Default::default() };
-        let mined = mine_itemsets(&t, &labels, &[0], &strict);
+        let mined = mine_itemsets(&t, &labels, &[0], &strict, &ParConfig::serial());
         assert!(
             !mined
                 .positive
@@ -450,7 +432,7 @@ mod tests {
             labels.push(Label::Negative);
         }
         let cfg = MiningConfig { min_precision: 0.9, max_order: 2, ..Default::default() };
-        let mined = mine_itemsets(&t, &labels, &[0], &cfg);
+        let mined = mine_itemsets(&t, &labels, &[0], &cfg, &ParConfig::serial());
         let pair = mined.positive.iter().find(|s| s.items.len() == 2);
         let pair = pair.expect("order-2 itemset {a,b} should be mined");
         assert_eq!(pair.pos_support, 50);
@@ -462,7 +444,8 @@ mod tests {
     fn empty_positive_class_yields_nothing() {
         let (t, mut labels) = dev(10, 90);
         labels.fill(Label::Negative);
-        let mined = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let mined =
+            mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default(), &ParConfig::serial());
         assert!(mined.positive.is_empty());
     }
 
@@ -470,14 +453,15 @@ mod tests {
     #[should_panic(expected = "label count mismatch")]
     fn rejects_mismatched_labels() {
         let (t, _) = dev(5, 5);
-        mine_itemsets(&t, &[Label::Positive], &[0], &MiningConfig::default());
+        mine_itemsets(&t, &[Label::Positive], &[0], &MiningConfig::default(), &ParConfig::serial());
     }
 
     #[test]
     fn results_are_deterministic_and_sorted_by_recall() {
+        let par = ParConfig::serial();
         let (t, labels) = dev(100, 900);
-        let a = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
-        let b = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default());
+        let a = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default(), &par);
+        let b = mine_itemsets(&t, &labels, &[0, 1], &MiningConfig::default(), &par);
         assert_eq!(a.positive, b.positive);
         for w in a.positive.windows(2) {
             assert!(w[0].recall >= w[1].recall);
@@ -489,7 +473,7 @@ mod tests {
         let (t, labels) = dev(100, 900);
         for max_order in [1usize, 2, 3] {
             let cfg = MiningConfig { max_order, ..MiningConfig::default() };
-            let fast = mine_itemsets(&t, &labels, &[0, 1], &cfg);
+            let fast = mine_itemsets(&t, &labels, &[0, 1], &cfg, &ParConfig::serial());
             let slow = crate::reference::mine_itemsets_reference(&t, &labels, &[0, 1], &cfg);
             assert_eq!(fast.positive, slow.positive, "order {max_order}");
             assert_eq!(fast.negative, slow.negative, "order {max_order}");
@@ -502,10 +486,10 @@ mod tests {
         // 6000 rows crosses MINE_PAR_ROWS, so the counting passes chunk.
         let (t, labels) = dev(600, 5400);
         let cfg = MiningConfig::default();
-        let base = mine_itemsets_with(&t, &labels, &[0, 1], &cfg, &ParConfig::threads(1));
+        let base = mine_itemsets(&t, &labels, &[0, 1], &cfg, &ParConfig::threads(1));
         for threads in [2usize, 4, 8] {
             let par = ParConfig::threads(threads);
-            let mined = mine_itemsets_with(&t, &labels, &[0, 1], &cfg, &par);
+            let mined = mine_itemsets(&t, &labels, &[0, 1], &cfg, &par);
             assert_eq!(mined.positive, base.positive, "threads = {threads}");
             assert_eq!(mined.negative, base.negative, "threads = {threads}");
             assert_eq!(mined.n_candidates, base.n_candidates, "threads = {threads}");

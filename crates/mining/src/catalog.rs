@@ -1,152 +1,38 @@
-//! Segment-fed construction of the order-1 item universe.
+//! The order-1 item universe of a resident labeled corpus.
 //!
-//! The resident miner builds one row bitset per distinct item in a single
-//! pass over a frozen table. Out-of-core curation cannot hold the table,
-//! but the *item universe* (which categorical ids and numeric quantile
-//! bins occur) and the *bitsets* (one bit per corpus row per item) are
-//! both small, so mining shards cleanly into two streaming passes:
-//!
-//! 1. **discovery** — [`ItemCatalogBuilder::observe`] folds each segment
-//!    into the occurring-id sets and numeric value pools;
-//!    [`ItemCatalogBuilder::finish`] then fits the discretizers and fixes
-//!    the item ordering, producing an [`ItemCatalog`];
-//! 2. **fill** — [`ItemCatalog::fill`] sets the global row bits for each
-//!    segment at its corpus offset.
-//!
-//! Both passes visit rows in corpus order, and the catalog's item order
-//! (column-list order, ascending value) matches the resident builder's, so
-//! the resulting bitsets are **bit-identical** to a whole-table pass at any
-//! segmentation — the property `mine_from_bitsets` needs to make sharded
-//! mining exact.
+//! The miner is vertical: it needs one row bitset per distinct item.
+//! [`ItemCatalog::build`] makes the one pass over the frozen mining
+//! columns that finds which categorical ids and numeric quantile bins
+//! occur, fits the numeric discretizers, and fixes the item order
+//! (column-list order, ascending value). [`ItemCatalog::bitsets`] then
+//! sets one bit per corpus row per item. The two steps stay apart so a
+//! caller can charge [`ItemCatalog::bitset_bytes`] to its memory budget
+//! before the bitsets are allocated.
 
-use cm_featurespace::{Bitmap, FeatureKind, FeatureSchema, FrozenColumn, FrozenTable};
+use cm_featurespace::{Bitmap, FrozenColumn, FrozenTable};
 
 use crate::apriori::{Item, ItemValue};
 use crate::discretize::Discretizer;
 
-/// Per-column discovery state while streaming segments.
-#[derive(Debug, Clone)]
-enum Discovery {
-    /// Column is absent from the schema or not minable (embeddings).
-    Skip,
-    /// Categorical: which ids have occurred.
-    Cat { seen: Vec<bool> },
-    /// Numeric: present values in corpus row order (discretizer input).
-    Num { values: Vec<f64> },
-}
-
-/// Accumulates the order-1 item universe across table segments.
-#[derive(Debug, Clone)]
-pub struct ItemCatalogBuilder {
-    columns: Vec<usize>,
-    n_bins: usize,
-    n_rows: usize,
-    discoveries: Vec<Discovery>,
-}
-
-impl ItemCatalogBuilder {
-    /// A builder for the given mining columns. `schema` decides each
-    /// column's kind exactly as the resident miner does; out-of-schema
-    /// columns contribute no items.
-    pub fn new(schema: &FeatureSchema, columns: &[usize], n_bins: usize) -> Self {
-        let discoveries = columns
-            .iter()
-            .map(|&c| match schema.def(c).map(|d| d.kind) {
-                Some(FeatureKind::Categorical) => Discovery::Cat { seen: Vec::new() },
-                Some(FeatureKind::Numeric) => Discovery::Num { values: Vec::new() },
-                _ => Discovery::Skip,
-            })
-            .collect();
-        Self { columns: columns.to_vec(), n_bins, n_rows: 0, discoveries }
-    }
-
-    /// Discovery pass over one segment (segments must arrive in corpus row
-    /// order so numeric value pools match the resident collection order).
-    pub fn observe(&mut self, frozen: &FrozenTable<'_>) {
-        let n = frozen.len();
-        for (slot, &col) in self.columns.iter().enumerate() {
-            if col >= frozen.n_cols() {
-                continue;
-            }
-            match (&mut self.discoveries[slot], frozen.col(col)) {
-                (Discovery::Cat { seen }, FrozenColumn::Categorical { ids, .. }) => {
-                    for &id in *ids {
-                        let id = id as usize;
-                        if id >= seen.len() {
-                            seen.resize(id + 1, false);
-                        }
-                        seen[id] = true;
-                    }
-                }
-                (Discovery::Num { values: pool }, FrozenColumn::Numeric { values, present }) => {
-                    for (r, &v) in values.iter().enumerate() {
-                        if present.get(r) {
-                            pool.push(v);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.n_rows += n;
-    }
-
-    /// Fits discretizers and fixes the item order, yielding the catalog.
-    pub fn finish(self) -> ItemCatalog {
-        let mut items = Vec::new();
-        let mut discretizers = Vec::new();
-        let mut lookups = Vec::with_capacity(self.columns.len());
-        for (slot, &col) in self.columns.iter().enumerate() {
-            match &self.discoveries[slot] {
-                Discovery::Skip => lookups.push(Lookup::Skip),
-                Discovery::Cat { seen } => {
-                    let mut id_to_item = vec![None; seen.len()];
-                    for (id, &occurs) in seen.iter().enumerate() {
-                        if occurs {
-                            id_to_item[id] = Some(items.len());
-                            items.push(Item { column: col, value: ItemValue::Cat(id as u32) });
-                        }
-                    }
-                    lookups.push(Lookup::Cat { id_to_item });
-                }
-                Discovery::Num { values } => {
-                    let Some(d) = Discretizer::fit_values(col, values.clone(), self.n_bins) else {
-                        lookups.push(Lookup::Skip);
-                        continue;
-                    };
-                    let mut occurs = vec![false; d.n_bins()];
-                    for &v in values {
-                        occurs[d.bin(v) as usize] = true;
-                    }
-                    let mut bin_to_item = vec![None; d.n_bins()];
-                    for (bin, &o) in occurs.iter().enumerate() {
-                        if o {
-                            bin_to_item[bin] = Some(items.len());
-                            items.push(Item { column: col, value: ItemValue::NumBin(bin as u32) });
-                        }
-                    }
-                    lookups.push(Lookup::Num { disc_idx: discretizers.len(), bin_to_item });
-                    discretizers.push(d);
-                }
-            }
-        }
-        ItemCatalog { items, discretizers, columns: self.columns, lookups, n_rows: self.n_rows }
-    }
-}
-
-/// Value-to-item routing for one mining column of a finished catalog.
+/// Value-to-item routing for one mining column.
 #[derive(Debug, Clone)]
 enum Lookup {
+    /// Column is absent, not minable (embeddings), or has no values.
     Skip,
-    Cat { id_to_item: Vec<Option<usize>> },
-    Num { disc_idx: usize, bin_to_item: Vec<Option<usize>> },
+    Cat {
+        id_to_item: Vec<Option<usize>>,
+    },
+    Num {
+        disc_idx: usize,
+        bin_to_item: Vec<Option<usize>>,
+    },
 }
 
 /// The fixed order-1 item universe of a corpus: items in deterministic
 /// (column-list order, ascending value) order, their fitted discretizers,
-/// and the routing needed to fill row bitsets segment by segment.
+/// and the routing that fills their row bitsets.
 #[derive(Debug, Clone)]
-pub struct ItemCatalog {
+pub(crate) struct ItemCatalog {
     /// The items, in the order their bitsets are laid out.
     pub items: Vec<Item>,
     /// Fitted numeric discretizers, one per numeric column with values.
@@ -157,42 +43,87 @@ pub struct ItemCatalog {
 }
 
 impl ItemCatalog {
-    /// Total corpus rows observed during discovery.
+    /// Finds the items of `columns` in `frozen`. Out-of-table and
+    /// embedding columns contribute no items; a numeric column's bins are
+    /// quantiles of its present values.
+    pub fn build(frozen: &FrozenTable<'_>, columns: &[usize], n_bins: usize) -> Self {
+        let mut items = Vec::new();
+        let mut discretizers = Vec::new();
+        let mut lookups = Vec::with_capacity(columns.len());
+        for &col in columns {
+            let lookup = match (col < frozen.n_cols()).then(|| frozen.col(col)) {
+                Some(FrozenColumn::Categorical { ids, .. }) => {
+                    let mut seen = Vec::new();
+                    for &id in *ids {
+                        let id = id as usize;
+                        if id >= seen.len() {
+                            seen.resize(id + 1, false);
+                        }
+                        seen[id] = true;
+                    }
+                    Lookup::Cat { id_to_item: route(&mut items, col, &seen, ItemValue::Cat) }
+                }
+                Some(FrozenColumn::Numeric { values, present }) => {
+                    let pool: Vec<f64> = values
+                        .iter()
+                        .enumerate()
+                        .filter(|&(r, _)| present.get(r))
+                        .map(|(_, &v)| v)
+                        .collect();
+                    match Discretizer::fit_values(col, pool.clone(), n_bins) {
+                        None => Lookup::Skip,
+                        Some(d) => {
+                            let mut occurs = vec![false; d.n_bins()];
+                            for &v in &pool {
+                                occurs[d.bin(v) as usize] = true;
+                            }
+                            let bin_to_item = route(&mut items, col, &occurs, ItemValue::NumBin);
+                            discretizers.push(d);
+                            Lookup::Num { disc_idx: discretizers.len() - 1, bin_to_item }
+                        }
+                    }
+                }
+                _ => Lookup::Skip,
+            };
+            lookups.push(lookup);
+        }
+        ItemCatalog {
+            items,
+            discretizers,
+            columns: columns.to_vec(),
+            lookups,
+            n_rows: frozen.len(),
+        }
+    }
+
+    /// Corpus rows the catalog was built over.
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
 
-    /// One all-zero corpus-length bitset per item, ready for `fill`.
-    pub fn empty_bitsets(&self) -> Vec<Bitmap> {
-        vec![Bitmap::zeros(self.n_rows); self.items.len()]
-    }
-
-    /// Approximate size in bytes of the per-item bitsets `empty_bitsets`
-    /// allocates — what the sharded driver charges to its memory budget.
+    /// Approximate size in bytes of the per-item bitsets
+    /// [`ItemCatalog::bitsets`] allocates.
     pub fn bitset_bytes(&self) -> usize {
         self.items.len() * self.n_rows.div_ceil(64) * std::mem::size_of::<u64>()
     }
 
-    /// Fill pass: sets the bits of one segment whose first row sits at
-    /// corpus offset `row_offset`.
+    /// One corpus-length row bitset per item, in item order.
     ///
     /// # Panics
-    /// Panics if `bits` was not produced by [`ItemCatalog::empty_bitsets`]
-    /// or the segment overruns the discovered corpus length.
-    pub fn fill(&self, frozen: &FrozenTable<'_>, row_offset: usize, bits: &mut [Bitmap]) {
-        assert_eq!(bits.len(), self.items.len(), "bitset count mismatch");
-        assert!(row_offset + frozen.len() <= self.n_rows, "segment overruns catalog");
-        let n = frozen.len();
-        for (slot, &col) in self.columns.iter().enumerate() {
-            if col >= frozen.n_cols() {
+    /// Panics if `frozen` is not the table the catalog was built over.
+    pub fn bitsets(&self, frozen: &FrozenTable<'_>) -> Vec<Bitmap> {
+        assert_eq!(frozen.len(), self.n_rows, "catalog built over another corpus");
+        let mut bits = vec![Bitmap::zeros(self.n_rows); self.items.len()];
+        for (lookup, &col) in self.lookups.iter().zip(&self.columns) {
+            if matches!(lookup, Lookup::Skip) {
                 continue;
             }
-            match (&self.lookups[slot], frozen.col(col)) {
+            match (lookup, frozen.col(col)) {
                 (Lookup::Cat { id_to_item }, FrozenColumn::Categorical { offsets, ids, .. }) => {
-                    for r in 0..n {
+                    for r in 0..self.n_rows {
                         for &id in &ids[offsets[r] as usize..offsets[r + 1] as usize] {
                             if let Some(Some(item)) = id_to_item.get(id as usize) {
-                                bits[*item].set(row_offset + r);
+                                bits[*item].set(r);
                             }
                         }
                     }
@@ -205,7 +136,7 @@ impl ItemCatalog {
                     for (r, &v) in values.iter().enumerate() {
                         if present.get(r) {
                             if let Some(Some(item)) = bin_to_item.get(d.bin(v) as usize) {
-                                bits[*item].set(row_offset + r);
+                                bits[*item].set(r);
                             }
                         }
                     }
@@ -213,7 +144,28 @@ impl ItemCatalog {
                 _ => {}
             }
         }
+        bits
     }
+}
+
+/// Appends an item to `items` for each value of `column` that occurs, in
+/// ascending value order, and returns each value's item index.
+fn route(
+    items: &mut Vec<Item>,
+    column: usize,
+    occurs: &[bool],
+    value: fn(u32) -> ItemValue,
+) -> Vec<Option<usize>> {
+    occurs
+        .iter()
+        .enumerate()
+        .map(|(v, &o)| {
+            o.then(|| {
+                items.push(Item { column, value: value(v as u32) });
+                items.len() - 1
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -221,7 +173,8 @@ mod tests {
     use std::sync::Arc;
 
     use cm_featurespace::{
-        CatSet, FeatureDef, FeatureSet, FeatureTable, FeatureValue, ServingMode, Vocabulary,
+        CatSet, FeatureDef, FeatureSchema, FeatureSet, FeatureTable, FeatureValue, ServingMode,
+        Vocabulary,
     };
 
     use super::*;
@@ -254,39 +207,25 @@ mod tests {
         t
     }
 
-    /// Streaming discovery + fill over any segmentation must reproduce the
-    /// single-pass catalog and bitsets exactly.
+    /// Every item's bitset holds exactly the rows that carry its value.
     #[test]
-    fn segmented_catalog_matches_single_pass() {
+    fn bitsets_mark_exactly_the_rows_holding_each_item() {
         let t = fixture(200);
-        let whole_frozen = FrozenTable::freeze(&t);
-        let mut whole = ItemCatalogBuilder::new(t.schema(), &[0, 1], 4);
-        whole.observe(&whole_frozen);
-        let whole = whole.finish();
-        let mut whole_bits = whole.empty_bitsets();
-        whole.fill(&whole_frozen, 0, &mut whole_bits);
-
-        for cuts in [vec![1usize], vec![64], vec![13, 77, 140], vec![200]] {
-            let mut builder = ItemCatalogBuilder::new(t.schema(), &[0, 1], 4);
-            let mut segs = Vec::new();
-            let mut start = 0;
-            for end in cuts.iter().copied().chain([200]) {
-                let rows: Vec<usize> = (start..end).collect();
-                segs.push((start, t.gather(&rows)));
-                start = end;
-            }
-            for (_, seg) in &segs {
-                builder.observe(&FrozenTable::freeze(seg));
-            }
-            let catalog = builder.finish();
-            assert_eq!(catalog.items, whole.items, "cuts = {cuts:?}");
-            assert_eq!(catalog.discretizers, whole.discretizers, "cuts = {cuts:?}");
-            let mut bits = catalog.empty_bitsets();
-            for (offset, seg) in &segs {
-                catalog.fill(&FrozenTable::freeze(seg), *offset, &mut bits);
-            }
-            for (a, b) in bits.iter().zip(&whole_bits) {
-                assert_eq!(a.words(), b.words(), "cuts = {cuts:?}");
+        let frozen = FrozenTable::freeze(&t);
+        let catalog = ItemCatalog::build(&frozen, &[0, 1], 4);
+        let bits = catalog.bitsets(&frozen);
+        assert_eq!(catalog.bitset_bytes(), bits.len() * 4 * 8);
+        for (item, b) in catalog.items.iter().zip(&bits) {
+            for r in 0..t.len() {
+                let holds = match item.value {
+                    ItemValue::Cat(id) => {
+                        frozen.categorical(r, item.column).is_some_and(|ids| ids.contains(&id))
+                    }
+                    ItemValue::NumBin(bin) => frozen
+                        .numeric(r, item.column)
+                        .is_some_and(|v| catalog.discretizers[0].bin(v) == bin),
+                };
+                assert_eq!(b.get(r), holds, "{item:?} row {r}");
             }
         }
     }
@@ -294,21 +233,17 @@ mod tests {
     #[test]
     fn empty_corpus_yields_empty_catalog() {
         let t = fixture(0);
-        let mut b = ItemCatalogBuilder::new(t.schema(), &[0, 1], 4);
-        b.observe(&FrozenTable::freeze(&t));
-        let catalog = b.finish();
+        let catalog = ItemCatalog::build(&FrozenTable::freeze(&t), &[0, 1], 4);
         assert!(catalog.items.is_empty());
         assert!(catalog.discretizers.is_empty());
         assert_eq!(catalog.n_rows(), 0);
-        assert!(catalog.empty_bitsets().is_empty());
+        assert!(catalog.bitsets(&FrozenTable::freeze(&t)).is_empty());
     }
 
     #[test]
     fn out_of_schema_columns_are_skipped() {
         let t = fixture(20);
-        let mut b = ItemCatalogBuilder::new(t.schema(), &[0, 9], 4);
-        b.observe(&FrozenTable::freeze(&t));
-        let catalog = b.finish();
+        let catalog = ItemCatalog::build(&FrozenTable::freeze(&t), &[0, 9], 4);
         assert!(catalog.items.iter().all(|i| i.column == 0));
     }
 }

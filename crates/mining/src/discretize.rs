@@ -25,12 +25,11 @@ impl Discretizer {
         Self::fit_values(column, values, n_bins)
     }
 
-    /// Fits quantile bins from a pre-collected value vector — the entry
-    /// point for segment streaming, where present values are gathered
-    /// incrementally and fitted once at the end. `fit` on a whole table is
-    /// exactly this on the values collected in row order; the quantile
-    /// edges depend only on the sorted multiset, so any collection order
-    /// yields identical bins. Returns `None` on an empty vector.
+    /// Fits quantile bins from a pre-collected value vector — what the item
+    /// catalog's one pass over a frozen column calls. `fit` on a whole
+    /// table is exactly this on the values collected in row order; the
+    /// quantile edges depend only on the sorted multiset, so any collection
+    /// order yields identical bins. Returns `None` on an empty vector.
     ///
     /// # Panics
     /// Panics if `n_bins < 2`.

@@ -3,10 +3,13 @@
 use std::time::Duration;
 
 use cm_faults::Stopwatch;
-use cm_featurespace::{FeatureTable, Label};
+use cm_featurespace::{CmResult, FeatureTable, FrozenTable, Label};
 use cm_labelmodel::{CategoricalContainsLf, ConjunctionLf, LabelingFunction, Predicate, Vote};
+use cm_par::ParConfig;
+use cm_shard::{MemBudget, MemTracker};
 
-use crate::apriori::{mine_itemsets, ItemValue, MiningConfig};
+use crate::apriori::{mine_from_bitsets, ItemValue, MinedItemsets, MiningConfig};
+use crate::catalog::ItemCatalog;
 
 /// Summary of one mining run (feeds the §6.7.1 comparison).
 #[derive(Debug, Clone)]
@@ -31,7 +34,29 @@ pub struct MinedLfs {
     pub report: MiningReport,
 }
 
-/// Mines LFs from a labeled dev table (§4.3 end to end).
+/// [`mine_lfs_tracked`] under `CM_THREADS` and an unbounded memory budget.
+pub fn mine_lfs(
+    dev: &FeatureTable,
+    labels: &[Label],
+    columns: &[usize],
+    config: &MiningConfig,
+    max_positive_lfs: usize,
+    max_negative_lfs: usize,
+) -> MinedLfs {
+    // The tracked total saturates at `usize::MAX`: this budget refuses no
+    // charge.
+    let mut unbounded = MemTracker::new(MemBudget::bytes(usize::MAX));
+    // lint: allow(par-from-env) — the perfbench adapter calls mine_lfs
+    let par = ParConfig::from_env();
+    let (pos_cap, neg_cap) = (max_positive_lfs, max_negative_lfs);
+    mine_lfs_tracked(dev, labels, columns, config, pos_cap, neg_cap, &mut unbounded, &par)
+        .unwrap_or_else(|e| unreachable!("an unbounded memory budget refused a charge: {e}"))
+}
+
+/// Mines LFs from a resident labeled dev table (§4.3 end to end): one
+/// item catalog pass, its row bitsets, the Apriori phases over them, then
+/// the itemset-to-LF conversion. The bitsets are charged to `tracker`
+/// before they are allocated and released once the phases ran.
 ///
 /// Itemsets become LFs as follows: categorical itemsets become
 /// [`CategoricalContainsLf`] (require-all over the itemset's ids); numeric
@@ -42,16 +67,31 @@ pub struct MinedLfs {
 /// `max_positive_lfs` / `max_negative_lfs` cap the output, keeping the
 /// highest-recall itemsets (low-recall duplicates add correlation without
 /// coverage).
-pub fn mine_lfs(
+///
+/// # Errors
+/// Fails when the item bitsets do not fit `tracker`'s budget.
+///
+/// # Panics
+/// Panics if `labels.len() != dev.len()`.
+#[allow(clippy::too_many_arguments)]
+pub fn mine_lfs_tracked(
     dev: &FeatureTable,
     labels: &[Label],
     columns: &[usize],
     config: &MiningConfig,
     max_positive_lfs: usize,
     max_negative_lfs: usize,
-) -> MinedLfs {
+    tracker: &mut MemTracker,
+    par: &ParConfig,
+) -> CmResult<MinedLfs> {
+    assert_eq!(dev.len(), labels.len(), "label count mismatch");
     let start = Stopwatch::start();
-    let mined = mine_itemsets(dev, labels, columns, config);
+    let frozen = FrozenTable::freeze(dev);
+    let catalog = ItemCatalog::build(&frozen, columns, config.numeric_bins);
+    let bitset_bytes = catalog.bitset_bytes();
+    tracker.charge(bitset_bytes, "item bitsets")?;
+    let mined = mine_from_bitsets(&catalog, &catalog.bitsets(&frozen), labels, config, par);
+    tracker.release(bitset_bytes);
     let lfs = lfs_from_itemsets(&mined, max_positive_lfs, max_negative_lfs);
     let report = MiningReport {
         n_candidates: mined.n_candidates,
@@ -60,14 +100,12 @@ pub fn mine_lfs(
         n_lfs: lfs.len(),
         mining_time: start.elapsed(),
     };
-    MinedLfs { report, lfs }
+    Ok(MinedLfs { report, lfs })
 }
 
-/// Converts already-mined itemsets into capped LF lists (positive LFs
-/// first) — the itemset-to-LF half of [`mine_lfs`], reused by the sharded
-/// driver, which mines its itemsets from segment-assembled bitsets.
-pub fn lfs_from_itemsets(
-    mined: &crate::apriori::MinedItemsets,
+/// Converts mined itemsets into capped LF lists (positive LFs first).
+fn lfs_from_itemsets(
+    mined: &MinedItemsets,
     max_positive_lfs: usize,
     max_negative_lfs: usize,
 ) -> Vec<Box<dyn LabelingFunction>> {

@@ -14,17 +14,13 @@
 //!   values of the *same* feature, minimizing correlation between LFs.
 
 pub mod apriori;
-pub mod catalog;
+mod catalog;
 pub mod discretize;
 pub mod lfgen;
 pub mod modelgen;
 pub mod reference;
 
-pub use apriori::{
-    mine_from_bitsets, mine_itemsets, mine_itemsets_with, Item, ItemStats, ItemValue,
-    MinedItemsets, MiningConfig,
-};
-pub use catalog::{ItemCatalog, ItemCatalogBuilder};
+pub use apriori::{mine_itemsets, Item, ItemStats, ItemValue, MinedItemsets, MiningConfig};
 pub use discretize::Discretizer;
-pub use lfgen::{lfs_from_itemsets, mine_lfs, MinedLfs, MiningReport};
+pub use lfgen::{mine_lfs, mine_lfs_tracked, MinedLfs, MiningReport};
 pub use modelgen::{generate_stump_lfs, StumpConfig};

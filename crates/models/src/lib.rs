@@ -25,5 +25,5 @@ pub mod tuner;
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use mlp::{Mlp, MlpEpochConfig};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use trainer::{train_model, BinaryClassifier, ModelKind, TrainConfig, TrainedModel};
+pub use trainer::{train_model, ModelKind, TrainConfig, TrainedModel};
 pub use tuner::{grid_search, TunerGrid, TunerOutcome, TunerTrial};

@@ -86,27 +86,13 @@ impl Mlp {
     /// Runs one epoch of mini-batch training on soft targets; returns the
     /// mean training loss.
     ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn train_epoch(
-        &mut self,
-        x: &Matrix,
-        targets: &[f64],
-        sample_weights: Option<&[f64]>,
-        config: &MlpEpochConfig,
-    ) -> f64 {
-        self.train_epoch_with(x, targets, sample_weights, config, &ParConfig::from_env())
-    }
-
-    /// [`Mlp::train_epoch`] with an explicit parallel configuration.
-    ///
     /// Per-batch gradients accumulate in fixed-size sample chunks whose
     /// partial gradient matrices fold in chunk index order, so the updated
     /// weights are bit-identical for any thread count.
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    pub fn train_epoch_with(
+    pub fn train_epoch(
         &mut self,
         x: &Matrix,
         targets: &[f64],
@@ -237,18 +223,12 @@ impl Mlp {
         }
     }
 
-    /// Forward pass to logits.
-    pub fn logits(&self, x: &Matrix) -> Vec<f32> {
-        self.logits_with(x, &ParConfig::from_env())
-    }
-
-    /// [`Mlp::logits`] with an explicit parallel configuration. The forward
-    /// pass is row-independent, so any thread count yields the same bits;
-    /// small inputs stay serial.
+    /// Forward pass to logits. The forward pass is row-independent, so any
+    /// thread count yields the same bits; small inputs stay serial.
     ///
     /// # Panics
     /// Panics if the feature width differs from the input dimension.
-    pub fn logits_with(&self, x: &Matrix, par: &ParConfig) -> Vec<f32> {
+    pub fn logits(&self, x: &Matrix, par: &ParConfig) -> Vec<f32> {
         assert_eq!(x.cols(), self.input_dim(), "feature width mismatch");
         let forward_chunk = |range: std::ops::Range<usize>| {
             let mut out = Vec::with_capacity(range.len());
@@ -278,22 +258,17 @@ impl Mlp {
     }
 
     /// Positive-class probabilities.
-    pub fn predict_proba(&self, x: &Matrix) -> Vec<f64> {
-        self.logits(x).into_iter().map(|z| f64::from(sigmoid(z))).collect()
+    pub fn predict_proba(&self, x: &Matrix, par: &ParConfig) -> Vec<f64> {
+        self.logits(x, par).into_iter().map(|z| f64::from(sigmoid(z))).collect()
     }
 
-    /// The activation before the final prediction layer, per row.
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        self.embed_with(x, &ParConfig::from_env())
-    }
-
-    /// [`Mlp::embed`] with an explicit parallel configuration. Row-wise
+    /// The activation before the final prediction layer, per row. Row-wise
     /// forward passes are independent, so any thread count yields the same
     /// bits; small inputs stay serial.
     ///
     /// # Panics
     /// Panics if the feature width differs from the input dimension.
-    pub fn embed_with(&self, x: &Matrix, par: &ParConfig) -> Matrix {
+    pub fn embed(&self, x: &Matrix, par: &ParConfig) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "feature width mismatch");
         let mut out = Matrix::zeros(x.rows(), self.embed_dim());
         let embed_rows = |range: std::ops::Range<usize>, rows_out: &mut [f32]| {
@@ -392,12 +367,14 @@ mod tests {
     }
 
     fn train(mlp: &mut Mlp, x: &Matrix, y: &[f64], epochs: usize) {
+        let par = ParConfig::serial();
         for e in 0..epochs {
             mlp.train_epoch(
                 x,
                 y,
                 None,
                 &MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: e as u64 },
+                &par,
             );
         }
     }
@@ -407,13 +384,14 @@ mod tests {
         let (x, y) = xor(200);
         let mut mlp = Mlp::new(2, &[16], 0.05, 3);
         train(&mut mlp, &x, &y, 120);
-        let p = mlp.predict_proba(&x);
+        let p = mlp.predict_proba(&x, &ParConfig::serial());
         let correct = p.iter().zip(&y).filter(|(p, &t)| (**p >= 0.5) == (t >= 0.5)).count();
         assert!(correct >= 190, "{correct}/200 correct on XOR");
     }
 
     #[test]
     fn training_loss_decreases() {
+        let par = ParConfig::serial();
         let (x, y) = xor(200);
         let mut mlp = Mlp::new(2, &[8], 0.05, 1);
         let first = mlp.train_epoch(
@@ -421,6 +399,7 @@ mod tests {
             &y,
             None,
             &MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: 0 },
+            &par,
         );
         train(&mut mlp, &x, &y, 60);
         let last = mlp.train_epoch(
@@ -428,22 +407,24 @@ mod tests {
             &y,
             None,
             &MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: 99 },
+            &par,
         );
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
 
     #[test]
     fn embed_has_declared_shape_and_feeds_head() {
+        let par = ParConfig::serial();
         let (x, y) = xor(40);
         let mut mlp = Mlp::new(2, &[8, 4], 0.05, 2);
         train(&mut mlp, &x, &y, 10);
-        let e = mlp.embed(&x);
+        let e = mlp.embed(&x, &par);
         assert_eq!(e.shape(), (40, 4));
         assert_eq!(mlp.embed_dim(), 4);
         // Head applied to embed must reproduce logits.
         let (hw, hb) = mlp.head_weights();
         let via_head: Vec<f32> = e.rows_iter().map(|r| dot(r, hw) + hb).collect();
-        let direct = mlp.logits(&x);
+        let direct = mlp.logits(&x, &par);
         for (a, b) in via_head.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -455,7 +436,7 @@ mod tests {
         let run = || {
             let mut m = Mlp::new(2, &[6], 0.05, 7);
             train(&mut m, &x, &y, 5);
-            m.predict_proba(&x)
+            m.predict_proba(&x, &ParConfig::serial())
         };
         assert_eq!(run(), run());
     }
@@ -470,9 +451,9 @@ mod tests {
             let mut m = Mlp::new(2, &[8, 4], 0.05, 7);
             let mut losses = Vec::new();
             for _ in 0..2 {
-                losses.push(m.train_epoch_with(&x, &y, None, &cfg, par));
+                losses.push(m.train_epoch(&x, &y, None, &cfg, par));
             }
-            (losses, m.logits_with(&x, par), m.embed_with(&x, par))
+            (losses, m.logits(&x, par), m.embed(&x, par))
         };
         let (base_loss, base_logits, base_embed) = run(&ParConfig::threads(1));
         for threads in [2usize, 4, 8] {
@@ -485,11 +466,12 @@ mod tests {
 
     #[test]
     fn no_hidden_layer_reduces_to_linear() {
+        let par = ParConfig::serial();
         let mut mlp = Mlp::new(3, &[], 0.05, 0);
         assert_eq!(mlp.embed_dim(), 3);
         let x = Matrix::from_rows(&[vec![1.0, 0.0, 0.0]]);
         // embed of a layerless body is the input itself.
-        let e = mlp.embed(&x);
+        let e = mlp.embed(&x, &par);
         assert_eq!(e.row(0), x.row(0));
         let y = [1.0];
         let l = mlp.train_epoch(
@@ -497,6 +479,7 @@ mod tests {
             &y,
             None,
             &MlpEpochConfig { batch_size: 1, l2: 0.0, shuffle_seed: 0 },
+            &par,
         );
         assert!(l.is_finite());
     }
@@ -505,7 +488,7 @@ mod tests {
     #[should_panic(expected = "feature width mismatch")]
     fn logits_reject_wrong_width() {
         let mlp = Mlp::new(4, &[2], 0.05, 0);
-        mlp.logits(&Matrix::zeros(1, 3));
+        mlp.logits(&Matrix::zeros(1, 3), &ParConfig::serial());
     }
 
     #[test]
@@ -516,16 +499,17 @@ mod tests {
 
     #[test]
     fn sample_weights_affect_training() {
+        let par = ParConfig::serial();
         let (x, y) = xor(100);
         let w: Vec<f64> = y.iter().map(|&t| if t >= 0.5 { 5.0 } else { 0.2 }).collect();
         let mut a = Mlp::new(2, &[8], 0.05, 5);
         let mut b = Mlp::new(2, &[8], 0.05, 5);
         for e in 0..20 {
             let cfg = MlpEpochConfig { batch_size: 16, l2: 0.0, shuffle_seed: e };
-            a.train_epoch(&x, &y, None, &cfg);
-            b.train_epoch(&x, &y, Some(&w), &cfg);
+            a.train_epoch(&x, &y, None, &cfg, &par);
+            b.train_epoch(&x, &y, Some(&w), &cfg, &par);
         }
         let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        assert!(mean(b.predict_proba(&x)) > mean(a.predict_proba(&x)));
+        assert!(mean(b.predict_proba(&x, &par)) > mean(a.predict_proba(&x, &par)));
     }
 }

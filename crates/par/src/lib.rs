@@ -34,7 +34,9 @@
 //!
 //! [`ParConfig::from_env`] reads `CM_THREADS` (falling back to the
 //! machine's available parallelism, clamped to 8). `threads = 1` runs
-//! everything inline on the caller's thread.
+//! everything inline on the caller's thread. Library functions take an
+//! explicit `&ParConfig`; binaries, examples and benches read the
+//! environment once in `main` and pass it down.
 
 use std::any::Any;
 use std::fmt;
@@ -57,12 +59,6 @@ pub const THREADS_ENV: &str = "CM_THREADS";
 pub struct ParConfig {
     threads: usize,
     min_chunk: usize,
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 impl ParConfig {
@@ -96,8 +92,7 @@ impl ParConfig {
     /// Sets the minimum items per chunk (`0` is treated as `1`). Chunk
     /// boundaries depend only on this and the item count, so callers that
     /// need bit-stable folds must pass the same value at every thread
-    /// count (the env-driven wrappers in the pipeline crates hard-code it
-    /// per call site).
+    /// count (the library call sites hard-code it per call site).
     pub fn with_min_chunk(mut self, min_chunk: usize) -> Self {
         self.min_chunk = min_chunk.max(1);
         self

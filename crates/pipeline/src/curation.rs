@@ -22,6 +22,7 @@ use cm_linalg::rng::SliceRandom;
 use cm_linalg::rng::StdRng;
 use cm_mining::MiningConfig;
 use cm_orgsim::ModalityDataset;
+use cm_par::ParConfig;
 use cm_propagation::{tune_score_thresholds, PropagationConfig};
 
 use crate::data::TaskData;
@@ -130,9 +131,11 @@ pub struct CurationOutput {
     pub degradation: DegradationReport,
 }
 
-/// Runs curation with automatically mined LFs (§4.3 + §4.4).
+/// Runs curation with automatically mined LFs (§4.3 + §4.4) under
+/// `CM_THREADS`.
 pub fn curate(data: &TaskData, config: &CurationConfig) -> CurationOutput {
-    curate_resident(data, config, LfSource::Mined)
+    // lint: allow(par-from-env) — the perfbench adapter calls curate
+    curate_resident(data, config, LfSource::Mined, &ParConfig::from_env())
 }
 
 /// Runs curation with a caller-provided LF suite (e.g. the hand-written
@@ -142,8 +145,9 @@ pub fn curate_with_lfs(
     config: &CurationConfig,
     lfs: Vec<Box<dyn LabelingFunction>>,
     authoring_time: Duration,
+    par: &ParConfig,
 ) -> CurationOutput {
-    curate_resident(data, config, LfSource::Provided(lfs, authoring_time))
+    curate_resident(data, config, LfSource::Provided(lfs, authoring_time), par)
 }
 
 /// The columns LFs may reference: shared features of the configured sets,
@@ -333,7 +337,8 @@ mod tests {
         let cfg = CurationConfig { use_label_propagation: false, ..fast_config() };
         let lfs = crate::expert::expert_lfs(d.world.schema()).unwrap();
         let n = lfs.len();
-        let out = curate_with_lfs(&d, &cfg, lfs, Duration::from_secs(7 * 3600));
+        let out =
+            curate_with_lfs(&d, &cfg, lfs, Duration::from_secs(7 * 3600), &ParConfig::serial());
         assert_eq!(out.lf_names.len(), n);
         assert_eq!(out.mining_time, Duration::from_secs(7 * 3600));
     }

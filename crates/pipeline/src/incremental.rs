@@ -55,10 +55,11 @@ use cm_labelmodel::{
     CompiledSuite, GenerativeConfig, GenerativeModel, LabelMatrix, LabelingFunction, VotePatterns,
     WarmStart,
 };
-use cm_mining::mine_lfs;
+use cm_mining::mine_lfs_tracked;
 use cm_orgsim::{ModalityDataset, World};
 use cm_par::ParConfig;
 use cm_propagation::{propagate, OnlineGraph, OnlineGraphState};
+use cm_shard::{MemBudget, MemTracker};
 
 use crate::curation::{lf_columns, sim_columns, CurationConfig, PropSetup};
 
@@ -244,21 +245,38 @@ pub struct IncrementalCurator {
 }
 
 impl IncrementalCurator {
-    /// Sets up the curator's clean-path scaffolding: mines LFs on the
-    /// labeled text corpus and, when propagation is enabled, derives the
-    /// seed/dev split, fits similarity scales on the labeled rows, and
-    /// inserts them into the online graph.
+    /// Sets up the curator's clean-path scaffolding under `CM_THREADS`:
+    /// mines LFs on the labeled text corpus and, when propagation is
+    /// enabled, derives the seed/dev split, fits similarity scales on the
+    /// labeled rows, and inserts them into the online graph.
     pub fn new(world: &World, text: &ModalityDataset, config: IncrementalConfig) -> Self {
-        let columns = lf_columns(world.schema(), &config.curation);
-        let mined = mine_lfs(
+        // lint: allow(par-from-env) — the perfbench adapter calls IncrementalCurator::new
+        Self::scaffold(world, text, config, &ParConfig::from_env())
+    }
+
+    /// The body of [`IncrementalCurator::new`] and
+    /// [`IncrementalCurator::restore`], mining under `par`.
+    fn scaffold(
+        world: &World,
+        text: &ModalityDataset,
+        config: IncrementalConfig,
+        par: &ParConfig,
+    ) -> Self {
+        // The tracked total saturates at `usize::MAX`: this budget refuses
+        // no charge.
+        let mut unbounded = MemTracker::new(MemBudget::bytes(usize::MAX));
+        let lfs = mine_lfs_tracked(
             &text.table,
             &text.labels,
-            &columns,
+            &lf_columns(world.schema(), &config.curation),
             &config.curation.mining,
             config.curation.max_positive_lfs,
             config.curation.max_negative_lfs,
-        );
-        let lfs = mined.lfs;
+            &mut unbounded,
+            par,
+        )
+        .unwrap_or_else(|e| unreachable!("an unbounded memory budget refused a charge: {e}"))
+        .lfs;
         let suite = CompiledSuite::compile(&lfs);
         let base_patterns = VotePatterns::new(lfs.iter().map(|l| l.name().to_owned()).collect());
         let mut lf_names = base_patterns.distinct().names().to_vec();
@@ -356,7 +374,7 @@ impl IncrementalCurator {
             }
             let full =
                 LabelMatrix::from_votes(n, self.lf_names.len(), votes, self.lf_names.clone());
-            mean_entropy(&model.predict_with(&full, par))
+            mean_entropy(&model.predict(&full, par))
         });
         BatchPreview {
             coverage: covered as f64 / n.max(1) as f64,
@@ -478,7 +496,7 @@ impl IncrementalCurator {
         state: IncrementalState,
         par: &ParConfig,
     ) -> Self {
-        let mut c = Self::new(world, text, config);
+        let mut c = Self::scaffold(world, text, config, par);
         assert_eq!(state.start_row, 0, "checkpointed state is not a record since pool row 0");
         assert_eq!(
             c.prop.is_some(),

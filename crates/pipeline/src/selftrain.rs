@@ -9,6 +9,7 @@
 use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureSet};
 use cm_fusion::{EarlyFusionModel, ModalityData};
 use cm_models::{ModelKind, TrainConfig};
+use cm_par::ParConfig;
 
 use crate::curation::CurationOutput;
 use crate::data::{mask_disallowed_sets, DenseView, TaskData};
@@ -61,6 +62,7 @@ pub fn self_train(
     model_kind: &ModelKind,
     train: &TrainConfig,
     config: &SelfTrainConfig,
+    par: &ParConfig,
 ) -> CmResult<SelfTrainOutcome> {
     if config.rounds == 0 {
         return Err(CmError::new(
@@ -91,9 +93,9 @@ pub fn self_train(
 
     let mut labels = curation.probabilistic_labels.clone();
     let mut n_pseudo = 0usize;
-    let mut model = train_once(&x_text, data, &x_pool, &labels, model_kind, train);
+    let mut model = train_once(&x_text, data, &x_pool, &labels, model_kind, train, par);
     for round in 0..config.rounds {
-        let preds = model.predict_proba(&x_pool);
+        let preds = model.predict_proba(&x_pool, par);
         n_pseudo = 0;
         for (q, &p) in labels.iter_mut().zip(&preds) {
             if (p - 0.5).abs() >= config.confidence_margin {
@@ -102,7 +104,7 @@ pub fn self_train(
             }
         }
         let cfg = TrainConfig { seed: train.seed.wrapping_add(round as u64 + 1), ..train.clone() };
-        model = train_once(&x_text, data, &x_pool, &labels, model_kind, &cfg);
+        model = train_once(&x_text, data, &x_pool, &labels, model_kind, &cfg, par);
     }
     Ok(SelfTrainOutcome { model, labels, n_pseudo_labeled: n_pseudo })
 }
@@ -114,12 +116,13 @@ fn train_once(
     pool_labels: &[f64],
     model_kind: &ModelKind,
     train: &TrainConfig,
+    par: &ParConfig,
 ) -> EarlyFusionModel {
     let parts = [
         ModalityData::new(x_text.clone(), data.text.labels_f64()),
         ModalityData::new(x_pool.clone(), pool_labels.to_vec()),
     ];
-    EarlyFusionModel::train(&parts, model_kind, train, None)
+    EarlyFusionModel::train(&parts, model_kind, train, None, par)
 }
 
 #[cfg(test)]
@@ -139,9 +142,15 @@ mod tests {
     fn self_training_pseudo_labels_and_does_not_collapse() {
         let (data, curation) = setup();
         let train = TrainConfig { epochs: 8, ..TrainConfig::default() };
-        let out =
-            self_train(&data, &curation, &ModelKind::Logistic, &train, &SelfTrainConfig::default())
-                .unwrap();
+        let out = self_train(
+            &data,
+            &curation,
+            &ModelKind::Logistic,
+            &train,
+            &SelfTrainConfig::default(),
+            &ParConfig::serial(),
+        )
+        .unwrap();
         assert!(out.n_pseudo_labeled > 0, "no confident predictions adopted");
         assert_eq!(out.labels.len(), data.pool.len());
         for q in &out.labels {
@@ -158,7 +167,9 @@ mod tests {
         let (data, curation) = setup();
         let train = TrainConfig { epochs: 5, ..TrainConfig::default() };
         let cfg = SelfTrainConfig { confidence_margin: 0.49, rounds: 2, ..Default::default() };
-        let out = self_train(&data, &curation, &ModelKind::Logistic, &train, &cfg).unwrap();
+        let out =
+            self_train(&data, &curation, &ModelKind::Logistic, &train, &cfg, &ParConfig::serial())
+                .unwrap();
         // With a nearly-1.0 confidence requirement few rows qualify.
         assert!(out.n_pseudo_labeled <= data.pool.len());
         let changed =
@@ -175,6 +186,7 @@ mod tests {
             &ModelKind::Logistic,
             &TrainConfig::default(),
             &SelfTrainConfig { rounds: 0, ..Default::default() },
+            &ParConfig::serial(),
         )
         .err()
         .unwrap();

@@ -26,12 +26,12 @@
 use std::time::Duration;
 
 use cm_faults::{FaultSummary, Stopwatch};
-use cm_featurespace::{CmResult, FrozenTable, Label, ModalityKind, SimilarityConfig};
+use cm_featurespace::{CmResult, Label, ModalityKind, SimilarityConfig};
 use cm_labelmodel::{
     majority_vote, AnchoredModel, BoundScoreLf, CompiledSuite, GenerativeConfig, GenerativeModel,
     LabelMatrix, LabelingFunction, LfRates, VotePatterns, VoteStats, APPEND_BLOCK_ROWS,
 };
-use cm_mining::{lfs_from_itemsets, mine_from_bitsets, ItemCatalogBuilder};
+use cm_mining::mine_lfs_tracked;
 use cm_orgsim::{ModalityDataset, TaskConfig, World, WorldConfig};
 use cm_par::ParConfig;
 use cm_propagation::{propagate, GraphBuilder};
@@ -81,6 +81,7 @@ pub fn curate_streamed(
     config: &CurationConfig,
     shard: &ShardConfig,
 ) -> CmResult<StreamedCuration> {
+    // lint: allow(par-from-env) — the perfbench adapter calls curate_streamed
     curate_streamed_with(task, seed, config, shard, &ParConfig::from_env())
 }
 
@@ -134,10 +135,10 @@ pub(crate) fn curate_resident(
     data: &TaskData,
     config: &CurationConfig,
     lfs: LfSource,
+    par: &ParConfig,
 ) -> CurationOutput {
     let mut tracker = MemTracker::new(MemBudget::bytes(usize::MAX));
-    let par = ParConfig::from_env();
-    match curate_pool(&data.text, &Pool::Resident(data), lfs, config, &mut tracker, &par) {
+    match curate_pool(&data.text, &Pool::Resident(data), lfs, config, &mut tracker, par) {
         Ok((output, _)) => output,
         // A resident pool fails only on a refused charge, and the tracked
         // total saturates at `usize::MAX`: this budget refuses none.
@@ -177,9 +178,17 @@ fn curate_pool(
     let (lfs, mining_time) = match lfs {
         LfSource::Provided(lfs, authoring_time) => (lfs, authoring_time),
         LfSource::Mined => {
-            let start = Stopwatch::start();
-            let lfs = mine_text_lfs(text, config, tracker, par)?;
-            (lfs, start.elapsed())
+            let mined = mine_lfs_tracked(
+                &text.table,
+                &text.labels,
+                &lf_columns(text.table.schema(), config),
+                &config.mining,
+                config.max_positive_lfs,
+                config.max_negative_lfs,
+                tracker,
+                par,
+            )?;
+            (mined.lfs, mined.report.mining_time)
         }
     };
     // Dev evidence for the base LFs: the whole labeled text corpus.
@@ -364,31 +373,6 @@ fn curate_pool(
         degradation,
     };
     Ok((output, segments))
-}
-
-/// Mines the LF suite (§4.3) on the resident text corpus: one item
-/// catalog pass and one bitset fill, with the bitsets charged while the
-/// candidate and join phases run over them.
-fn mine_text_lfs(
-    text: &ModalityDataset,
-    config: &CurationConfig,
-    tracker: &mut MemTracker,
-    par: &ParConfig,
-) -> CmResult<Vec<Box<dyn LabelingFunction>>> {
-    let schema = text.table.schema();
-    let columns = lf_columns(schema, config);
-    let frozen = FrozenTable::freeze(&text.table);
-    let mut builder = ItemCatalogBuilder::new(schema, &columns, config.mining.numeric_bins);
-    builder.observe(&frozen);
-    let catalog = builder.finish();
-    let bitset_bytes = catalog.bitset_bytes();
-    tracker.charge(bitset_bytes, "item bitsets")?;
-    let mut item_bits = catalog.empty_bitsets();
-    catalog.fill(&frozen, 0, &mut item_bits);
-    let mined = mine_from_bitsets(&catalog, &item_bits, &text.labels, &config.mining, par);
-    drop(item_bits);
-    tracker.release(bitset_bytes);
-    Ok(lfs_from_itemsets(&mined, config.max_positive_lfs, config.max_negative_lfs))
 }
 
 /// The label-propagation LF and its dev evidence.

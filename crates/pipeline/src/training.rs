@@ -9,6 +9,7 @@
 use cm_featurespace::{CmError, CmResult, ErrorKind, FeatureSet};
 use cm_fusion::{DeViseModel, EarlyFusionModel, IntermediateFusionModel, ModalityData};
 use cm_models::{ModelKind, TrainConfig};
+use cm_par::ParConfig;
 
 use crate::curation::CurationOutput;
 use crate::data::{mask_disallowed_sets, DenseView, TaskData};
@@ -160,7 +161,7 @@ impl ScenarioRunner<'_> {
     /// # Errors
     /// Returns [`ErrorKind::NotFound`] if the schema lacks the standard
     /// registry embedding column.
-    pub fn baseline_auprc(&self) -> CmResult<f64> {
+    pub fn baseline_auprc(&self, par: &ParConfig) -> CmResult<f64> {
         let schema = self.data.world.schema();
         let emb = schema.column("img_embedding").ok_or_else(|| {
             CmError::new(
@@ -172,9 +173,9 @@ impl ScenarioRunner<'_> {
         let view = DenseView::fit(&[&self.data.labeled_image.table], vec![emb])?;
         let x = view.encode(&self.data.labeled_image.table);
         let part = ModalityData::new(x, self.data.labeled_image.labels_f64());
-        let model = EarlyFusionModel::train(&[part], &self.model, &self.train, None);
+        let model = EarlyFusionModel::train(&[part], &self.model, &self.train, None, par);
         let xt = view.encode(&self.data.test.table);
-        let probs = model.predict_proba(&xt);
+        let probs = model.predict_proba(&xt, par);
         Ok(cm_eval::auprc(&probs, &test_positives(self.data)))
     }
 
@@ -191,6 +192,7 @@ impl ScenarioRunner<'_> {
         &self,
         scenario: &Scenario,
         curation: Option<&CurationOutput>,
+        par: &ParConfig,
     ) -> CmResult<ModelEval> {
         let data = self.data;
         let schema = data.world.schema();
@@ -284,11 +286,12 @@ impl ScenarioRunner<'_> {
 
         let probs = match scenario.strategy {
             FusionStrategy::Early => {
-                EarlyFusionModel::train(&parts, &self.model, &self.train, None).predict_proba(&xt)
+                EarlyFusionModel::train(&parts, &self.model, &self.train, None, par)
+                    .predict_proba(&xt, par)
             }
             FusionStrategy::Intermediate => {
-                IntermediateFusionModel::train(&parts, &self.model, &self.train, None)
-                    .predict_proba(&xt)
+                IntermediateFusionModel::train(&parts, &self.model, &self.train, None, par)
+                    .predict_proba(&xt, par)
             }
             FusionStrategy::DeVise => {
                 let (Some(ti), Some(ii)) = (text_part_idx, image_part_idx) else {
@@ -298,8 +301,8 @@ impl ScenarioRunner<'_> {
                         "DeViSE requires both an old and a new modality part".to_owned(),
                     ));
                 };
-                DeViseModel::train(&parts[ti], &parts[ii], &self.model, &self.train)
-                    .predict_proba(&xt)
+                DeViseModel::train(&parts[ti], &parts[ii], &self.model, &self.train, par)
+                    .predict_proba(&xt, par)
             }
         };
         let auprc = cm_eval::auprc(&probs, &test_positives(data));
@@ -320,8 +323,9 @@ impl ScenarioRunner<'_> {
         scenario: &Scenario,
         curation: Option<&CurationOutput>,
         baseline: f64,
+        par: &ParConfig,
     ) -> CmResult<ModelEval> {
-        let mut eval = self.run(scenario, curation)?;
+        let mut eval = self.run(scenario, curation, par)?;
         if baseline > 0.0 {
             eval.relative_auprc = Some(eval.auprc / baseline);
         }
@@ -354,6 +358,7 @@ mod tests {
 
     #[test]
     fn cross_modal_beats_isolated_modalities() {
+        let par = ParConfig::serial();
         let d = data();
         let r = runner(&d);
         let cur = curate(
@@ -365,9 +370,9 @@ mod tests {
             },
         );
         let sets = FeatureSet::SHARED;
-        let cross = r.run(&Scenario::cross_modal(&sets), Some(&cur)).unwrap();
-        let text = r.run(&Scenario::text_only(&sets), None).unwrap();
-        let image = r.run(&Scenario::image_only(&sets), Some(&cur)).unwrap();
+        let cross = r.run(&Scenario::cross_modal(&sets), Some(&cur), &par).unwrap();
+        let text = r.run(&Scenario::text_only(&sets), None, &par).unwrap();
+        let image = r.run(&Scenario::image_only(&sets), Some(&cur), &par).unwrap();
         // At this tiny unit-test scale only weak orderings are stable (the
         // strict Table-2 orderings are asserted at bench scale in
         // EXPERIMENTS.md): combining modalities must not lose to either
@@ -386,13 +391,14 @@ mod tests {
 
     #[test]
     fn baseline_is_weaker_than_feature_models() {
+        let par = ParConfig::serial();
         let d = data();
         let r = runner(&d);
         let cur =
             curate(&d, &CurationConfig { use_label_propagation: false, ..Default::default() });
-        let baseline = r.baseline_auprc().unwrap();
+        let baseline = r.baseline_auprc(&par).unwrap();
         let cross = r
-            .run_relative(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&cur), baseline)
+            .run_relative(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&cur), baseline, &par)
             .unwrap();
         assert!(baseline > 0.0);
         let rel = cross.relative_auprc.unwrap();
@@ -403,7 +409,9 @@ mod tests {
     fn fully_supervised_scenario_uses_n_rows() {
         let d = data();
         let r = runner(&d);
-        let eval = r.run(&Scenario::fully_supervised(&FeatureSet::SHARED, 150), None).unwrap();
+        let eval = r
+            .run(&Scenario::fully_supervised(&FeatureSet::SHARED, 150), None, &ParConfig::serial())
+            .unwrap();
         assert_eq!(eval.n_train_rows, 150);
         assert!(eval.auprc > 0.0);
     }
@@ -411,7 +419,9 @@ mod tests {
     #[test]
     fn weak_scenario_requires_curation() {
         let d = data();
-        let err = runner(&d).run(&Scenario::image_only(&FeatureSet::SHARED), None).unwrap_err();
+        let err = runner(&d)
+            .run(&Scenario::image_only(&FeatureSet::SHARED), None, &ParConfig::serial())
+            .unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidConfig);
         assert!(err.message.contains("requires curation output"));
     }
@@ -454,7 +464,7 @@ mod tests {
         {
             let mut s = Scenario::cross_modal(&FeatureSet::SHARED);
             s.strategy = strategy;
-            let eval = r.run(&s, Some(&cur)).unwrap();
+            let eval = r.run(&s, Some(&cur), &ParConfig::serial()).unwrap();
             assert!(eval.auprc.is_finite());
             assert!(eval.auprc >= 0.0);
         }

@@ -60,6 +60,7 @@ impl GraphBuilder {
 
     /// Builds the graph. `seed` only matters for the anchor method.
     pub fn build(&self, table: &FeatureTable, config: &SimilarityConfig, seed: u64) -> SparseGraph {
+        // lint: allow(par-from-env) — the perfbench adapter calls GraphBuilder::build
         self.build_with(table, config, seed, &ParConfig::from_env())
     }
 
@@ -79,7 +80,18 @@ impl GraphBuilder {
         par: &ParConfig,
     ) -> SparseGraph {
         let frozen = FrozenTable::freeze(table);
-        self.build_frozen_with(&frozen, config, seed, par)
+        let n = frozen.len();
+        let kernel = PairKernel::compile(&frozen, config);
+        let par = par.clone().with_min_chunk(KNN_MIN_ROWS_PER_CHUNK);
+        let edges = if self.uses_exact(n) {
+            self.build_exact(n, &kernel, &par)
+        } else {
+            let KnnMethod::Anchors { n_anchors, probes, max_candidates } = self.method else {
+                unreachable!("non-exact path implies the anchor method")
+            };
+            self.build_anchors(n, &kernel, n_anchors, probes, max_candidates, seed, &par)
+        };
+        SparseGraph::from_edges(n, &edges)
     }
 
     /// Whether a corpus of `n` rows takes the exact all-pairs path (either
@@ -92,29 +104,6 @@ impl GraphBuilder {
             // Too small for anchors to pay off; fall back to exact.
             KnnMethod::Anchors { n_anchors, .. } => n <= n_anchors * 4,
         }
-    }
-
-    /// [`GraphBuilder::build_with`] over an existing frozen view, for
-    /// callers that already hold one.
-    pub fn build_frozen_with(
-        &self,
-        frozen: &FrozenTable<'_>,
-        config: &SimilarityConfig,
-        seed: u64,
-        par: &ParConfig,
-    ) -> SparseGraph {
-        let n = frozen.len();
-        let kernel = PairKernel::compile(frozen, config);
-        let par = par.clone().with_min_chunk(KNN_MIN_ROWS_PER_CHUNK);
-        let edges = if self.uses_exact(n) {
-            self.build_exact(n, &kernel, &par)
-        } else {
-            let KnnMethod::Anchors { n_anchors, probes, max_candidates } = self.method else {
-                unreachable!("non-exact path implies the anchor method")
-            };
-            self.build_anchors(n, &kernel, n_anchors, probes, max_candidates, seed, &par)
-        };
-        SparseGraph::from_edges(n, &edges)
     }
 
     fn build_exact(

@@ -28,7 +28,7 @@ pub mod snapshot;
 
 pub use guards::{GuardVerdict, QualityGuards, QuarantinedBatch};
 pub use queue::{Admission, AdmissionQueue, QueueConfig, QueuedBatch, SheddingReport};
-pub use service::{run, CheckpointTickCost, RunOutcome, ServeConfig, ServeReport, ServeTiming};
+pub use service::{run, RunOutcome, ServeConfig, ServeReport, ServeTiming};
 pub use snapshot::{
     CheckpointFormat, CheckpointStore, CompactionPolicy, PendingWork, ServeTelemetry, LOG_VERSION,
 };

@@ -146,22 +146,6 @@ impl ServeConfig {
     }
 }
 
-/// Per-tick checkpoint write cost, recorded so the serve bench can plot
-/// the persistence curve: flat delta appends, with a base rewrite at
-/// each compaction.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointTickCost {
-    /// Tick at which this write happened.
-    pub tick: usize,
-    /// Wall-clock cost of capture + encode + write.
-    pub elapsed: Duration,
-    /// Bytes written to the checkpoint file this tick.
-    pub bytes_written: usize,
-    /// Whether this write was a full base snapshot (fresh file or
-    /// compaction) rather than a delta append.
-    pub wrote_base: bool,
-}
-
 /// Wall-clock accounting of one run, reported out-of-band (never part of
 /// deterministic fixtures).
 #[derive(Debug, Clone, Default)]
@@ -179,8 +163,10 @@ pub struct ServeTiming {
     pub checkpoint: Duration,
     /// Total bytes written to the checkpoint file.
     pub checkpoint_bytes: usize,
-    /// Per-tick checkpoint write costs, in tick order.
-    pub checkpoint_ticks: Vec<CheckpointTickCost>,
+    /// Full base snapshots written (a fresh file or a compaction).
+    pub base_writes: usize,
+    /// Delta records appended to the log.
+    pub delta_appends: usize,
 }
 
 impl ServeTiming {
@@ -482,7 +468,7 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
             // O(pool) base is written only on a fresh file or when the
             // compaction policy folds the log back down. Both advance the
             // curator's durable marks.
-            let (bytes_written, wrote_base) = if store.needs_base() {
+            let bytes_written = if store.needs_base() {
                 let cp = snapshot::capture(
                     tick,
                     rows_generated,
@@ -491,7 +477,8 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
                     pending,
                     telemetry.clone(),
                 );
-                (store.commit_base(&cp)?, true)
+                timing.base_writes += 1;
+                store.commit_base(&cp)?
             } else {
                 let delta = snapshot::capture_delta(
                     tick,
@@ -503,19 +490,13 @@ pub fn run(config: &ServeConfig, par: &ParConfig) -> CmResult<RunOutcome> {
                     stats_durable,
                     lat_durable,
                 );
-                (store.commit_delta(&delta)?, false)
+                timing.delta_appends += 1;
+                store.commit_delta(&delta)?
             };
             stats_durable = telemetry.batch_stats.len();
             lat_durable = telemetry.latencies_ms.len();
-            let elapsed = cpw.elapsed();
-            timing.checkpoint += elapsed;
+            timing.checkpoint += cpw.elapsed();
             timing.checkpoint_bytes += bytes_written;
-            timing.checkpoint_ticks.push(CheckpointTickCost {
-                tick,
-                elapsed,
-                bytes_written,
-                wrote_base,
-            });
         }
     }
 

@@ -10,6 +10,7 @@
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     // The moderation task: flag policy-violating posts. Video is richer
     // and shiftier than image (frame splitting loses more signal), which
     // the world's video observation channel models.
@@ -53,11 +54,12 @@ fn main() {
         model: ModelKind::Mlp { hidden: vec![32] },
         train: TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
     };
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     let sets = FeatureSet::SHARED;
-    let cross =
-        runner.run_relative(&Scenario::cross_modal(&sets), Some(&curation), baseline).unwrap();
-    let text_only = runner.run_relative(&Scenario::text_only(&sets), None, baseline).unwrap();
+    let cross = runner
+        .run_relative(&Scenario::cross_modal(&sets), Some(&curation), baseline, &par)
+        .unwrap();
+    let text_only = runner.run_relative(&Scenario::text_only(&sets), None, baseline, &par).unwrap();
     println!("\nembedding baseline AUPRC: {baseline:.4}");
     println!(
         "text model applied to video:  AUPRC {:.4} ({:.2}x)",
@@ -92,10 +94,11 @@ fn main() {
             &ModelKind::Mlp { hidden: vec![32] },
             &TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
             None,
+            &par,
         )
     };
     println!("\nincoming video posts:");
-    for (i, p) in eval_model.predict_proba(&x).iter().enumerate() {
+    for (i, p) in eval_model.predict_proba(&x, &par).iter().enumerate() {
         let verdict = if *p > 0.5 { "FLAG for review" } else { "allow" };
         let truth = if incoming.labels[i].is_positive() { "(violating)" } else { "(benign)" };
         println!("  post {i}: score {p:.3} -> {verdict:<16} {truth}");

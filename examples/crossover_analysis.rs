@@ -9,6 +9,7 @@
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     let task = TaskConfig::paper(TaskId::Ct2).scaled(0.1);
     let data = TaskData::generate(task, 11, Some(4_000));
     let curation = curate(&data, &CurationConfig::default());
@@ -18,7 +19,7 @@ fn main() {
         train: TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
     };
     let sets = FeatureSet::SHARED;
-    let cross = runner.run(&Scenario::cross_modal(&sets), Some(&curation)).unwrap();
+    let cross = runner.run(&Scenario::cross_modal(&sets), Some(&curation), &par).unwrap();
     println!("cross-modal pipeline (0 hand labels): AUPRC {:.4}\n", cross.auprc);
 
     println!("{:>12} {:>10} {:>16}", "hand labels", "AUPRC", "vs cross-modal");
@@ -27,7 +28,7 @@ fn main() {
         if n > data.labeled_image.len() {
             break;
         }
-        let eval = runner.run(&Scenario::fully_supervised(&sets, n), None).unwrap();
+        let eval = runner.run(&Scenario::fully_supervised(&sets, n), None, &par).unwrap();
         let cmp = if eval.auprc >= cross.auprc { "ahead" } else { "behind" };
         println!("{n:>12} {:>10.4} {cmp:>16}", eval.auprc);
         curve.push((n as f64, eval.auprc));

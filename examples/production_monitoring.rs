@@ -13,6 +13,7 @@ use cross_modal::pipeline::{
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     let task = TaskConfig::paper(TaskId::Ct1).scaled(0.1);
     let data = TaskData::generate(task, 5, None);
     let mut curation = curate(&data, &CurationConfig::default());
@@ -22,7 +23,9 @@ fn main() {
     // --- §7.1: which organizational resources carry this task? ---
     println!("feature-set attribution (mask-based, §7.1):");
     let scenario = Scenario::cross_modal(&FeatureSet::SHARED);
-    for a in feature_set_attribution(&data, &scenario, Some(&curation), &model, &train).unwrap() {
+    for a in
+        feature_set_attribution(&data, &scenario, Some(&curation), &model, &train, &par).unwrap()
+    {
         println!(
             "  set {:?}: full AUPRC {:.4}, masked {:.4} -> contribution {:+.4}",
             a.set, a.full_auprc, a.masked_auprc, a.contribution
@@ -37,7 +40,8 @@ fn main() {
     let reviews: Vec<(usize, Label)> = picks.iter().map(|&r| (r, data.pool.labels[r])).collect();
     apply_review(&mut curation, reviews);
     let runner = ScenarioRunner { data: &data, model: model.clone(), train: train.clone() };
-    let eval = runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap();
+    let eval =
+        runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), &par).unwrap();
     println!(
         "  weak-label F1 before review: {:.3}; cross-modal AUPRC after folding reviews in: {:.4}",
         before.f1, eval.auprc
@@ -58,8 +62,8 @@ fn main() {
             ModalityData::new(view.encode(&data.text.table), data.text.labels_f64()),
             ModalityData::new(view.encode(&data.pool.table), curation.probabilistic_labels.clone()),
         ];
-        let fused = EarlyFusionModel::train(&parts, &model, &train, None);
-        fused.predict_proba(&view.encode(&live.table))
+        let fused = EarlyFusionModel::train(&parts, &model, &train, None, &par);
+        fused.predict_proba(&view.encode(&live.table), &par)
     };
     let est = estimate_live_metrics(&scores, 0.5, 300, 11, |i| live.labels[i].is_positive())
         .expect("live stream is nonempty");

@@ -13,6 +13,7 @@
 use cross_modal::prelude::*;
 
 fn main() {
+    let par = ParConfig::from_env();
     // 1. Feature generation. The world stands in for the organization:
     //    fifteen shared services across feature sets A-D plus
     //    modality-specific features, applied to a labeled text corpus, an
@@ -53,14 +54,14 @@ fn main() {
         model: ModelKind::Mlp { hidden: vec![32] },
         train: TrainConfig { epochs: 20, patience: None, ..TrainConfig::default() },
     };
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     println!("\nbaseline (pre-trained image embeddings, fully supervised): AUPRC {baseline:.4}");
 
     let sets = FeatureSet::SHARED;
     for scenario in
         [Scenario::text_only(&sets), Scenario::image_only(&sets), Scenario::cross_modal(&sets)]
     {
-        let eval = runner.run_relative(&scenario, Some(&curation), baseline).unwrap();
+        let eval = runner.run_relative(&scenario, Some(&curation), baseline, &par).unwrap();
         println!(
             "{:<28} AUPRC {:.4}  ({} baseline)",
             eval.scenario,

@@ -133,7 +133,6 @@ fn main() {
             println!("{}", report.to_json().to_string_pretty());
             // Wall-clock accounting is real time, not simulated: stderr
             // only, never part of the pinned fixture.
-            let bases = timing.checkpoint_ticks.iter().filter(|t| t.wrote_base).count();
             eprintln!(
                 "timing: total {:?}, setup {:?}, generation {:?}, curation {:?}, \
                  checkpoint {:?}, serving envelope {:?} ({:.2}% of curation)",
@@ -148,9 +147,9 @@ fn main() {
             eprintln!(
                 "checkpoint: {} bytes over {} writes ({} base rewrites, {} delta appends)",
                 timing.checkpoint_bytes,
-                timing.checkpoint_ticks.len(),
-                bases,
-                timing.checkpoint_ticks.len() - bases
+                timing.base_writes + timing.delta_appends,
+                timing.base_writes,
+                timing.delta_appends
             );
         }
         Ok(RunOutcome::Crashed { at_tick }) => {

@@ -130,12 +130,6 @@ bash perfbench/run.sh --workload pool-anchored --seed 0 --seconds 1 --trace 1
 bash perfbench/run.sh --workload pool-propagation --seed 0 --seconds 1 --trace 1
 bash perfbench/run.sh --workload serve-ticks --seed 0 --seconds 1 --trace 1
 
-echo "==> bench smoke: serve group"
-# One end-to-end service run (compile + run guard; the committed
-# results/BENCH_serve.json comes from an uncapped run).
-CM_SERVE_JSON=/tmp/cm_bench_serve_smoke.json \
-    cargo bench -q -p cm-bench --bench substrates -- serve
-
 echo "==> bench smoke: scale group, capped corpus"
 # Executes the sharded scale sweep once at a small row cap (compile +
 # run guard; the committed results/BENCH_scale.json comes from a full

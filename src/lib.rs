@@ -29,7 +29,9 @@
 //!     model: ModelKind::Logistic,
 //!     train: TrainConfig { epochs: 5, ..TrainConfig::default() },
 //! };
-//! let eval = runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap();
+//! let par = ParConfig::from_env();
+//! let eval =
+//!     runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), &par).unwrap();
 //! assert!(eval.auprc > 0.0);
 //! ```
 //!
@@ -79,6 +81,7 @@ pub mod prelude {
     };
     pub use cm_models::{ModelKind, TrainConfig};
     pub use cm_orgsim::{ModalityDataset, TaskConfig, TaskId, World, WorldConfig};
+    pub use cm_par::ParConfig;
     pub use cm_pipeline::{
         curate, curate_streamed, curate_streamed_with, curate_with_lfs, expert_lfs, CurationConfig,
         CurationOutput, DegradationReport, FusionStrategy, LabelModelKind, LabelSource, Scenario,

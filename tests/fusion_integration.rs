@@ -22,7 +22,7 @@ fn all_strategies_produce_valid_models() {
         let mut s = Scenario::cross_modal(&FeatureSet::SHARED);
         s.strategy = strategy;
         s.name = format!("{strategy:?}");
-        let eval = runner.run(&s, Some(&curation)).unwrap();
+        let eval = runner.run(&s, Some(&curation), &ParConfig::from_env()).unwrap();
         assert!(eval.auprc.is_finite() && eval.auprc >= 0.0);
         results.push((format!("{strategy:?}"), eval.auprc));
     }
@@ -45,7 +45,7 @@ fn early_fusion_is_competitive_with_alternatives() {
     let ap = |strategy: FusionStrategy| {
         let mut s = Scenario::cross_modal(&FeatureSet::SHARED);
         s.strategy = strategy;
-        runner.run(&s, Some(&curation)).unwrap().auprc
+        runner.run(&s, Some(&curation), &ParConfig::from_env()).unwrap().auprc
     };
     let early = ap(FusionStrategy::Early);
     let inter = ap(FusionStrategy::Intermediate);
@@ -65,14 +65,20 @@ fn logistic_and_mlp_families_both_work_end_to_end() {
             model,
             train: TrainConfig { epochs: 6, patience: None, ..TrainConfig::default() },
         };
-        let eval =
-            runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap();
+        let eval = runner
+            .run(
+                &Scenario::cross_modal(&FeatureSet::SHARED),
+                Some(&curation),
+                &ParConfig::from_env(),
+            )
+            .unwrap();
         assert!(eval.auprc > 0.18, "AUPRC {}", eval.auprc);
     }
 }
 
 #[test]
 fn feature_set_ladder_is_monotonic_in_the_large() {
+    let par = ParConfig::from_env();
     // Figure 6/7 shape at test scale: ABCD should beat A alone (weaker
     // claim than full monotonicity, which needs bench-scale data).
     let (data, curation) = setup(13);
@@ -81,8 +87,11 @@ fn feature_set_ladder_is_monotonic_in_the_large() {
         model: ModelKind::Logistic,
         train: TrainConfig { epochs: 8, ..TrainConfig::default() },
     };
-    let a = runner.run(&Scenario::cross_modal(&[FeatureSet::A]), Some(&curation)).unwrap().auprc;
-    let abcd =
-        runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap().auprc;
+    let a =
+        runner.run(&Scenario::cross_modal(&[FeatureSet::A]), Some(&curation), &par).unwrap().auprc;
+    let abcd = runner
+        .run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), &par)
+        .unwrap()
+        .auprc;
     assert!(abcd > a, "all feature sets ({abcd:.3}) should beat set A alone ({a:.3})");
 }

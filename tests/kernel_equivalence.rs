@@ -23,7 +23,7 @@ use cross_modal::featurespace::{
 use cross_modal::labelmodel::{CategoricalContainsLf, LabelMatrix, LabelingFunction, Vote};
 use cross_modal::linalg::Matrix;
 use cross_modal::mining::reference::mine_itemsets_reference;
-use cross_modal::mining::{mine_itemsets_with, MiningConfig};
+use cross_modal::mining::{mine_itemsets, MiningConfig};
 use cross_modal::orgsim::{TaskConfig, TaskId, World, WorldConfig};
 use cross_modal::par::ParConfig;
 use cross_modal::propagation::GraphBuilder;
@@ -169,7 +169,7 @@ fn bitset_miner_matches_rowwise_reference_on_org_data() {
     let cols = w.schema().columns_in_sets(&FeatureSet::SHARED, false);
     for order in [1usize, 2, 3] {
         let cfg = MiningConfig { max_order: order, ..MiningConfig::default() };
-        let fast = mine_itemsets_with(&data.table, &data.labels, &cols, &cfg, &ParConfig::serial());
+        let fast = mine_itemsets(&data.table, &data.labels, &cols, &cfg, &ParConfig::serial());
         let oracle = mine_itemsets_reference(&data.table, &data.labels, &cols, &cfg);
         assert_same_itemsets(&fast, &oracle, &format!("order {order}"));
     }
@@ -184,7 +184,7 @@ fn bitset_miner_matches_reference_on_seeded_mixed_table() {
         .collect();
     let cols = vec![0, 1, 2, 3, 4];
     let cfg = MiningConfig { max_order: 2, min_recall: 0.05, ..MiningConfig::default() };
-    let fast = mine_itemsets_with(&t, &labels, &cols, &cfg, &ParConfig::serial());
+    let fast = mine_itemsets(&t, &labels, &cols, &cfg, &ParConfig::serial());
     let oracle = mine_itemsets_reference(&t, &labels, &cols, &cfg);
     assert_same_itemsets(&fast, &oracle, "mixed table");
 }
@@ -205,7 +205,7 @@ fn blocked_matmul_matches_reference_on_seeded_shapes() {
         };
         let a = fill(m, k);
         let b = fill(k, n);
-        let blocked = a.matmul_with(&b, &ParConfig::serial());
+        let blocked = a.matmul(&b, &ParConfig::serial());
         let reference = a.matmul_reference(&b);
         assert_eq!(blocked, reference, "shape {m}x{k}x{n}");
     }
@@ -226,8 +226,7 @@ fn kernel_outputs_are_thread_count_invariant() {
 
     // Bitset mining (5k rows crosses MINE_PAR_ROWS).
     let cfg = MiningConfig { max_order: 2, ..MiningConfig::default() };
-    let base_mined =
-        mine_itemsets_with(&data.table, &data.labels, &cols, &cfg, &ParConfig::threads(1));
+    let base_mined = mine_itemsets(&data.table, &data.labels, &cols, &cfg, &ParConfig::threads(1));
 
     // Frozen-view LF application.
     let lfs: Vec<Box<dyn LabelingFunction>> = cols
@@ -252,7 +251,7 @@ fn kernel_outputs_are_thread_count_invariant() {
             base_graph,
             "graph, threads = {threads}"
         );
-        let mined = mine_itemsets_with(&data.table, &data.labels, &cols, &cfg, &par);
+        let mined = mine_itemsets(&data.table, &data.labels, &cols, &cfg, &par);
         assert_same_itemsets(&mined, &base_mined, &format!("threads = {threads}"));
         let votes = LabelMatrix::apply_with(&data.table, &lfs, &par);
         for r in 0..base_votes.n_rows() {

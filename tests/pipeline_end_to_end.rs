@@ -24,7 +24,9 @@ fn full_pipeline_produces_meaningful_model() {
     assert!(curation.ws_quality.coverage > 0.3);
 
     let runner = fast_runner(&data);
-    let eval = runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap();
+    let eval = runner
+        .run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), &ParConfig::from_env())
+        .unwrap();
     // A cross-modal model trained with zero image labels must clearly beat
     // random ranking (random AUPRC = positive rate ~= 0.09).
     assert!(eval.auprc > 0.3, "cross-modal AUPRC {} is too close to chance", eval.auprc);
@@ -36,8 +38,13 @@ fn pipeline_is_deterministic_per_seed() {
         let data = small_data(TaskId::Ct1, seed);
         let curation = curate(&data, &CurationConfig::default());
         let runner = fast_runner(&data);
-        let eval =
-            runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap();
+        let eval = runner
+            .run(
+                &Scenario::cross_modal(&FeatureSet::SHARED),
+                Some(&curation),
+                &ParConfig::from_env(),
+            )
+            .unwrap();
         (curation.probabilistic_labels, eval.auprc)
     };
     let (labels_a, auprc_a) = run(9);
@@ -66,11 +73,12 @@ fn curation_labels_align_with_pool() {
 
 #[test]
 fn fully_supervised_scenario_scales_with_labels() {
+    let par = ParConfig::from_env();
     let data = small_data(TaskId::Ct2, 11);
     let runner = fast_runner(&data);
     let sets = FeatureSet::SHARED;
-    let small = runner.run(&Scenario::fully_supervised(&sets, 80), None).unwrap();
-    let large = runner.run(&Scenario::fully_supervised(&sets, 600), None).unwrap();
+    let small = runner.run(&Scenario::fully_supervised(&sets, 80), None, &par).unwrap();
+    let large = runner.run(&Scenario::fully_supervised(&sets, 600), None, &par).unwrap();
     assert_eq!(small.n_train_rows, 80);
     assert_eq!(large.n_train_rows, 600);
     // More supervision should not make things dramatically worse.
@@ -79,13 +87,14 @@ fn fully_supervised_scenario_scales_with_labels() {
 
 #[test]
 fn relative_auprc_uses_baseline() {
+    let par = ParConfig::from_env();
     let data = small_data(TaskId::Ct2, 13);
     let curation = curate(&data, &CurationConfig::default());
     let runner = fast_runner(&data);
-    let baseline = runner.baseline_auprc().unwrap();
+    let baseline = runner.baseline_auprc(&par).unwrap();
     assert!(baseline > 0.0);
     let eval = runner
-        .run_relative(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), baseline)
+        .run_relative(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), baseline, &par)
         .unwrap();
     let rel = eval.relative_auprc.unwrap();
     assert!((rel - eval.auprc / baseline).abs() < 1e-12);
@@ -108,6 +117,8 @@ fn video_modality_flows_through_the_pipeline() {
     let curation = curate(&data, &CurationConfig::default());
     assert!(curation.ws_quality.coverage > 0.2);
     let runner = fast_runner(&data);
-    let eval = runner.run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation)).unwrap();
+    let eval = runner
+        .run(&Scenario::cross_modal(&FeatureSet::SHARED), Some(&curation), &ParConfig::from_env())
+        .unwrap();
     assert!(eval.auprc > 0.2, "video cross-modal AUPRC {}", eval.auprc);
 }

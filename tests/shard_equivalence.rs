@@ -5,13 +5,10 @@
 //! any shard size (one row, a prime, a power of two, the whole corpus) and
 //! any thread count. These tests pin that equivalence end to end (LF
 //! votes, label-model posteriors, conflict, quality report) and for the
-//! individual substrates (Apriori supports, similarity scales, k-NN
-//! graphs).
+//! individual substrates (similarity scales, k-NN graphs).
 
-use cross_modal::featurespace::{ErrorKind, FrozenTable, SimilarityConfig};
-use cross_modal::mining::{
-    mine_from_bitsets, mine_itemsets_with, ItemCatalogBuilder, MiningConfig,
-};
+use cross_modal::featurespace::{ErrorKind, SimilarityConfig};
+use cross_modal::mining::MiningConfig;
 use cross_modal::par::ParConfig;
 use cross_modal::prelude::*;
 use cross_modal::propagation::{GraphBuilder, KnnMethod};
@@ -165,44 +162,6 @@ fn streamed_curation_fits_exactly_its_own_peak_budget() {
                 let floor = dataset_bytes(&data.text) + 4 * n_pool + 8 * n_pool;
                 assert!(peak >= floor, "{what}: peak {peak} below the sweep's holdings {floor}");
             }
-        }
-    }
-}
-
-#[test]
-fn apriori_supports_match_over_segment_assembled_bitsets() {
-    let data = TaskData::generate(task(), 9, Some(64));
-    let table = &data.text.table;
-    let labels = &data.text.labels;
-    let columns = data.shared_columns(&FeatureSet::SHARED);
-    let config = MiningConfig { min_recall: 0.05, ..MiningConfig::default() };
-    for threads in [1usize, 4] {
-        let par = ParConfig::threads(threads);
-        let want = mine_itemsets_with(table, labels, &columns, &config, &par);
-        for shard_rows in SHARD_SIZES {
-            let mut builder =
-                ItemCatalogBuilder::new(table.schema(), &columns, config.numeric_bins);
-            let mut start = 0usize;
-            while start < table.len() {
-                let end = (start + shard_rows).min(table.len());
-                let seg = table.gather(&(start..end).collect::<Vec<_>>());
-                builder.observe(&FrozenTable::freeze(&seg));
-                start = end;
-            }
-            let catalog = builder.finish();
-            let mut bits = catalog.empty_bitsets();
-            let mut start = 0usize;
-            while start < table.len() {
-                let end = (start + shard_rows).min(table.len());
-                let seg = table.gather(&(start..end).collect::<Vec<_>>());
-                catalog.fill(&FrozenTable::freeze(&seg), start, &mut bits);
-                start = end;
-            }
-            let got = mine_from_bitsets(&catalog, &bits, labels, &config, &par);
-            let what = format!("shard_rows={shard_rows} threads={threads}");
-            assert_eq!(got.positive, want.positive, "{what}: positive itemsets");
-            assert_eq!(got.negative, want.negative, "{what}: negative itemsets");
-            assert_eq!(got.n_candidates, want.n_candidates, "{what}: candidates");
         }
     }
 }

@@ -125,13 +125,14 @@ fn vote_matrix_statistics_are_consistent() {
     let matrix = LabelMatrix::apply(&pool.table, &lfs);
     assert_eq!(matrix.n_rows(), pool.len());
     assert_eq!(matrix.n_lfs(), lfs.len());
+    let stats = matrix.vote_stats(&ParConfig::from_env());
     // Coverage >= per-LF coverage for any single LF.
     for j in 0..matrix.n_lfs() {
-        assert!(matrix.coverage() >= matrix.lf_coverage(j) - 1e-12);
+        assert!(stats.coverage >= matrix.lf_coverage(j) - 1e-12);
     }
     // Conflict <= overlap <= coverage.
-    assert!(matrix.conflict() <= matrix.overlap() + 1e-12);
-    assert!(matrix.overlap() <= matrix.coverage() + 1e-12);
+    assert!(stats.conflict <= stats.overlap + 1e-12);
+    assert!(stats.overlap <= stats.coverage + 1e-12);
     // Votes round-trip the encoding.
     for r in (0..matrix.n_rows()).step_by(97) {
         for j in 0..matrix.n_lfs() {
